@@ -127,7 +127,8 @@ else
     cancellation_test service_soak_test \
     arena_test csv_stream_test exec_test exec_diff_test exec_spill_test \
     fuzz_generator_test fuzz_oracle_test generated_corpus_test \
-    guidance_snapshot_test
+    guidance_snapshot_test ted_test ted_batch_test heuristic_test \
+    property_test
   ctest --test-dir build-asan --output-on-failure -L asan -j "${JOBS}"
 fi
 

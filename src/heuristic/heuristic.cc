@@ -35,7 +35,8 @@ class TedHeuristic : public Heuristic {
  public:
   double Estimate(const Table& state, const Table& goal,
                   const CancellationToken* cancel) const override {
-    return GreedyTed(state, goal, cancel).cost;
+    thread_local EditPath path;
+    return GreedyTed(state, goal, &path, cancel);
   }
   std::string name() const override { return "ted"; }
 };

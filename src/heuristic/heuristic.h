@@ -27,7 +27,10 @@ enum class HeuristicKind {
 const char* HeuristicKindName(HeuristicKind kind);
 
 /// Estimates the remaining cost (number of Potter's Wheel operations) from
-/// `state` to `goal`. Implementations are stateless and thread-compatible.
+/// `state` to `goal`. Estimates are pure functions of (state, goal), and
+/// implementations are thread-compatible. The TED family reuses
+/// per-thread scratch buffers across calls; a thread's scratch stays as
+/// large as the largest tables it has estimated.
 class Heuristic {
  public:
   virtual ~Heuristic() = default;

@@ -51,6 +51,14 @@ double TransformSequenceCost(const std::string& src, int src_row, int src_col,
 TedResult GreedyTed(const Table& input, const Table& output,
                     const CancellationToken* cancel = nullptr);
 
+/// The same matching, writing the edit path into `*path` (cleared first)
+/// and returning its cost. The matching runs over per-thread scratch that
+/// is kept between calls, so once `*path` and that scratch have grown to
+/// the tables' size a call allocates nothing; the TED heuristics pass a
+/// reused path here on every estimate.
+double GreedyTed(const Table& input, const Table& output, EditPath* path,
+                 const CancellationToken* cancel = nullptr);
+
 }  // namespace foofah
 
 #endif  // FOOFAH_HEURISTIC_TED_H_

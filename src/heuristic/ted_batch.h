@@ -52,17 +52,24 @@ struct TedBatchResult {
 /// On the paper's worked example (Figure 9/10) this compacts path costs
 /// 12 / 9 / 18 to 4 / 3 / 6, as our tests assert.
 ///
-/// `cancel` (optional, not owned) is polled between the per-pattern chain
-/// scans (Table 4 has ten patterns per type group) so a deadline interrupts
-/// the batching mid-path. A result computed under a fired token is garbage
-/// (cost forced to kInfiniteCost, batches truncated) — callers must check
-/// the token before using or caching it.
+/// The work runs in per-thread scratch shared with TedBatchCost, so only
+/// the returned batches are allocated once that scratch has grown to the
+/// path's length.
+///
+/// `cancel` (optional, not owned) is polled before each Table 4 pattern's
+/// chain scan of a type group, so a deadline interrupts the batching
+/// mid-path. A result computed under a fired token is garbage (cost forced
+/// to kInfiniteCost, batches empty) — callers must check the token before
+/// using or caching it.
 TedBatchResult BatchEditPath(const EditPath& path,
                              const CancellationToken* cancel = nullptr);
 
-/// Convenience: GreedyTed + BatchEditPath. Returns kInfiniteCost when the
-/// greedy TED is infeasible, or when `cancel` fires mid-computation (the
-/// caller distinguishes the two by checking the token).
+/// GreedyTed + BatchEditPath's cover, summed without building batches:
+/// the TED Batch heuristic value. Allocates nothing once the calling
+/// thread's scratch has grown to the tables' size. Returns kInfiniteCost
+/// when the greedy TED is infeasible, or when `cancel` fires
+/// mid-computation (the caller distinguishes the two by checking the
+/// token).
 double TedBatchCost(const Table& input, const Table& output,
                     const CancellationToken* cancel = nullptr);
 

@@ -152,6 +152,36 @@ TEST(GreedyTedTest, TieBreaksByRowMajorInputOrder) {
   ASSERT_FALSE(r.path.empty());
   EXPECT_EQ(r.path[0].type, EditType::kTransform);
   EXPECT_EQ(r.path[0].src_row, 0);
+
+  // Output (1,0) = "x" has two cost-1 sources: a Move from (0,0) and a
+  // Transform of "ax" in place at (1,0). The Move's cell comes first in
+  // row-major order, so it wins; output (0,0) = "" has no source and is
+  // an Add, and the unused "ax" is deleted.
+  r = GreedyTed(Table({{"x"}, {"ax"}}), Table({{""}, {"x"}}));
+  ASSERT_EQ(r.path.size(), 3u);
+  EXPECT_EQ(r.path[0].type, EditType::kAdd);
+  EXPECT_EQ(r.path[1].type, EditType::kMove);
+  EXPECT_EQ(r.path[1].src_row, 0);
+  EXPECT_EQ(r.path[1].dst_row, 1);
+  EXPECT_EQ(r.path[2].type, EditType::kDelete);
+  EXPECT_EQ(r.path[2].src_row, 1);
+  EXPECT_EQ(r.cost, 3);
+
+  // Output (0,0) takes input (0,0) in place and output (0,1) moves input
+  // (1,0) up, so when output (1,0) = "x" comes, every unused cell ("q",
+  // and the padding "") is infeasible and the fallback pass runs over the
+  // used ones. There a cost-1 Move from (0,0) comes first in row-major
+  // order, but the same-coordinate (1,0) matches at cost 0 and must win.
+  r = GreedyTed(Table({{"x", "q"}, {"x"}}), Table({{"x", "x"}, {"x"}}));
+  ASSERT_EQ(r.path.size(), 2u);
+  EXPECT_EQ(r.path[0].type, EditType::kMove);
+  EXPECT_EQ(r.path[0].src_row, 1);
+  EXPECT_EQ(r.path[0].src_col, 0);
+  EXPECT_EQ(r.path[0].dst_row, 0);
+  EXPECT_EQ(r.path[0].dst_col, 1);
+  EXPECT_EQ(r.path[1].type, EditType::kDelete);
+  EXPECT_EQ(r.path[1].src_col, 1);
+  EXPECT_EQ(r.cost, 2);
 }
 
 TEST(GreedyTedTest, EmptyTables) {
