@@ -59,9 +59,17 @@ Status GenerateCsv(const std::string& path, uint64_t rows) {
   std::string_view cells[4];
   std::string id, val, date;
   for (uint64_t i = 0; i < rows; ++i) {
-    id = "id-" + std::to_string(i);
-    val = i % 7 == 0 ? std::string() : "v" + std::to_string(i % 13);
-    date = "2024-0" + std::to_string(1 + i % 9) + "-1" + std::to_string(i % 9);
+    id = "id-";
+    id += std::to_string(i);
+    val.clear();
+    if (i % 7 != 0) {
+      val += 'v';
+      val += std::to_string(i % 13);
+    }
+    date = "2024-0";
+    date += std::to_string(1 + i % 9);
+    date += "-1";
+    date += std::to_string(i % 9);
     cells[0] = id;
     cells[1] = val;
     cells[2] = date;

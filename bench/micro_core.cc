@@ -91,7 +91,8 @@ BENCHMARK(BM_ApplySplit)->Arg(4)->Arg(32);
 void BM_ApplyUnfold(benchmark::State& state) {
   Table in;
   for (int i = 0; i < static_cast<int>(state.range(0)); ++i) {
-    std::string key = "k" + std::to_string(i);
+    std::string key = "k";
+    key += std::to_string(i);
     in.AppendRow({key, "a", std::to_string(i)});
     in.AppendRow({key, "b", std::to_string(i * 2)});
   }
@@ -184,32 +185,6 @@ BENCHMARK(BM_SynthesizeParallel)
     ->Arg(2)
     ->Arg(4)
     ->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-// Frontier width scaling of the speculative K-way engine: K frontier
-// nodes are popped and evaluated concurrently per batch, committed
-// serially in pop order (results stay bit-identical to K:1 — see
-// frontier_parallel_test). K:1 is the classic one-node loop; K>1 at
-// threads:1 isolates the pure batching overhead, K>1 at threads:8 is the
-// production configuration where the wider frontier keeps the pool fed
-// past the per-node candidate count.
-void BM_SynthesizeFrontierK(benchmark::State& state) {
-  Table in = MakeContactsInput(2);
-  Table out = MakeContactsOutput(2);
-  SearchOptions options;
-  options.expansion_width = static_cast<int>(state.range(0));
-  options.num_threads = static_cast<int>(state.range(1));
-  Foofah foofah(options);
-  bench::AllocCounters before = bench::AllocSnapshot();
-  for (auto _ : state) {
-    SearchResult r = foofah.Synthesize(in, out);
-    benchmark::DoNotOptimize(r.found);
-  }
-  ReportAllocs(state, before);
-}
-BENCHMARK(BM_SynthesizeFrontierK)
-    ->ArgNames({"K", "threads"})
-    ->ArgsProduct({{1, 2, 4, 8}, {1, 2, 8}})
     ->Unit(benchmark::kMillisecond);
 
 // Heuristic-memo ablation: cache:0 recomputes the TED dynamic program for

@@ -8,9 +8,6 @@
 //         --timeout-ms N      per-search budget (default 60000)
 //         --threads N         expansion threads (default: all cores;
 //                             results are identical at any thread count)
-//         --expansion-width K speculative frontier nodes expanded per
-//                             batch (default 1; results are identical at
-//                             any width)
 //         --no-cache          disable the heuristic memo
 //         --strategy S        astar | bfs            (default astar)
 //         --heuristic H       ted_batch | ted | rule | zero
@@ -63,7 +60,7 @@ int Usage() {
                "[--timeout-ms N] [--strategy astar|bfs]\n"
                "      [--heuristic ted_batch|ted|rule|zero] "
                "[--alternatives K] [--minimize] [--infer-patterns]\n"
-               "      [--threads N] [--expansion-width K] [--no-cache]\n"
+               "      [--threads N] [--no-cache]\n"
                "  foofah_cli apply PROGRAM.txt DATA.csv\n"
                "  foofah_cli explain PROGRAM.txt\n"
                "  foofah_cli export-corpus DIR\n"
@@ -137,10 +134,6 @@ int Synthesize(int argc, char** argv) {
       const char* v = next();
       if (v == nullptr) return Usage();
       options.num_threads = std::atoi(v);
-    } else if (arg == "--expansion-width") {
-      const char* v = next();
-      if (v == nullptr) return Usage();
-      options.expansion_width = std::atoi(v);
     } else if (arg == "--no-cache") {
       options.cache_heuristic = false;
     } else if (arg == "--minimize") {

@@ -30,8 +30,8 @@ class Foofah {
   Foofah() = default;
 
   /// Custom search configuration (strategy, heuristic, pruning, registry,
-  /// budgets, and the parallelism knobs `num_threads` /
-  /// `expansion_width`, which never change results — only wall-clock).
+  /// budgets, and `num_threads`, which never changes results — only
+  /// wall-clock).
   /// `options.registry`, if set, must outlive this object.
   explicit Foofah(SearchOptions options) : options_(options) {}
 

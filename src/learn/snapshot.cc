@@ -120,7 +120,9 @@ std::string SerializeGuidanceSnapshot(const GuidanceSnapshot& snapshot) {
     if (m.unigram[c] == 0) continue;
     payload += "unigram ";
     payload += OpCodeName(static_cast<OpCode>(c));
-    payload += " " + std::to_string(m.unigram[c]) + "\n";
+    payload += ' ';
+    payload += std::to_string(m.unigram[c]);
+    payload += '\n';
   }
   for (int p = 0; p <= kNumOpCodes; ++p) {
     const char* prev_name = p == GuidanceModel::kStartToken
@@ -132,15 +134,21 @@ std::string SerializeGuidanceSnapshot(const GuidanceSnapshot& snapshot) {
       payload += prev_name;
       payload += " ";
       payload += OpCodeName(static_cast<OpCode>(c));
-      payload += " " + std::to_string(m.ngram[p][c]) + "\n";
+      payload += ' ';
+      payload += std::to_string(m.ngram[p][c]);
+      payload += '\n';
     }
   }
   for (const auto& [bucket, counts] : m.profile) {
     for (int c = 0; c < kNumOpCodes; ++c) {
       if (counts[c] == 0) continue;
-      payload += "profile " + std::to_string(bucket) + " ";
+      payload += "profile ";
+      payload += std::to_string(bucket);
+      payload += ' ';
       payload += OpCodeName(static_cast<OpCode>(c));
-      payload += " " + std::to_string(counts[c]) + "\n";
+      payload += ' ';
+      payload += std::to_string(counts[c]);
+      payload += '\n';
     }
   }
   for (const GuidanceSnapshot::HeuristicEntry& e : snapshot.heuristic_entries) {

@@ -41,9 +41,6 @@ std::string SearchStats::ToString() const {
     out << " hcache=" << heuristic_cache_hits << "/"
         << (heuristic_cache_hits + heuristic_cache_misses);
   }
-  if (speculative_expansions > 0) {
-    out << " spec=" << speculative_discards << "/" << speculative_expansions;
-  }
   if (guided_expansions > 0 || guidance_fallbacks > 0) {
     out << " guided=" << guided_expansions << "/" << nodes_expanded
         << " deferred=" << guidance_deferred
@@ -151,22 +148,6 @@ struct CandidateOutcome {
   /// interrupted mid-estimate); such slots hold garbage and the
   /// cancellation replay skips them.
   bool complete = false;
-};
-
-/// One member of a speculative expansion batch (expansion_width > 1): a
-/// frontier node popped ahead of its confirmed turn, with everything its
-/// commit will need. `entry` keeps the original A* queue entry verbatim —
-/// the invalidation check compares it against the live frontier top, and a
-/// restore re-pushes it with its original seq so the tie-break order is
-/// exactly what a K=1 run would see.
-struct SpecNode {
-  OpenEntry entry{};
-  int node = -1;
-  Table state;
-  ParentContext context;
-  std::vector<Operation> candidates;
-  std::vector<uint8_t> defer;  ///< Guide mask (empty when unguided).
-  std::vector<CandidateOutcome> outcomes;
 };
 
 /// One single-phase search run: the entire pre-guidance SynthesizeProgram
@@ -436,10 +417,9 @@ SearchResult RunSearch(const Table& input, const Table& goal,
 
   // ---- Phase 2: evaluate one candidate without side effects — prune,
   // apply, size-filter, goal-test, and (in the parallel engine) estimate.
-  // Reads only search-constant state plus the owning expansion's parent
-  // facts; writes only its own slot, so any number of candidates — from
-  // one node, or from every node of a speculative batch — evaluate
-  // concurrently.
+  // Reads only search-constant state plus the expanded node's parent
+  // facts; writes only its own slot, so all candidates of one expansion
+  // evaluate concurrently.
   auto evaluate = [&](const Table& state, const ParentContext& parent_context,
                       const Operation& candidate, bool compute_h,
                       bool deferred, CandidateOutcome& out) {
@@ -520,7 +500,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
 
   // ---- Phase 3: replay one evaluated slot — every mutation of the
   // search state (arena, seen-set, frontier, stats, observer) happens
-  // here, on the expansion thread, in candidate order within pop order.
+  // here, on the expansion thread, in candidate order.
   // `current` is the node whose expansion produced the slot. Returns
   // false when the search is done (enough solutions / generation budget).
   auto replay = [&](int current, const Operation& candidate,
@@ -614,16 +594,6 @@ SearchResult RunSearch(const Table& input, const Table& goal,
   // never share one.
   std::vector<CandidateOutcome> outcomes;
 
-  // Speculative K-way expansion state (expansion_width > 1), reused per
-  // iteration. `work` flattens the batch into (member, candidate) items so
-  // one ParallelFor spans every candidate of every popped node — the whole
-  // point of the batch: enough independent items to keep all pool workers
-  // busy even when a single node enumerates few candidates.
-  const int width = std::max(1, options.expansion_width);
-  const bool astar = options.strategy == SearchStrategy::kAStar;
-  std::vector<SpecNode> batch;
-  std::vector<std::pair<size_t, size_t>> work;
-
   while (!frontier_empty()) {
     // The token subsumes the old between-rounds elapsed check (it owns the
     // deadline whenever timeout_ms > 0) and additionally fires mid-round:
@@ -638,243 +608,82 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       break;
     }
 
-    if (width == 1) {
-      const int current = pop();
-      ++result.stats.nodes_expanded;
-      if (cancel != nullptr && cancel->CountNode()) {
-        note_cancel();
-        break;
-      }
-      if (options.observer != nullptr) {
-        options.observer->OnExpand(current, arena[current].table,
-                                   arena[current].depth);
-      }
+    const int current = pop();
+    ++result.stats.nodes_expanded;
+    if (cancel != nullptr && cancel->CountNode()) {
+      note_cancel();
+      break;
+    }
+    if (options.observer != nullptr) {
+      options.observer->OnExpand(current, arena[current].table,
+                                 arena[current].depth);
+    }
 
-      // ---- Phase 1 (serial): enumerate candidate arcs out of this state.
-      // Snapshot: arena may reallocate while children are appended. Under
-      // the copy-on-write substrate this is an O(1) handle copy — no cells
-      // are cloned, and the pool workers read the shared immutable rows.
-      const Table state = arena[current].table;
-      std::vector<Operation> candidates =
-          EnumerateCandidates(state, goal, registry);
-      // Parent facts (symbol bitmap, empty-column count) are shared by
-      // every candidate's pruning checks.
-      const ParentContext parent_context = ParentContext::From(state);
-      // Guided phase: the defer mask is computed serially at expansion
-      // time — the guide sees the exact enumeration order — and is
-      // read-only afterwards, so both evaluation engines share it safely.
-      std::vector<uint8_t> defer;
-      if (guide != nullptr) {
-        defer.assign(candidates.size(), 0);
-        const Operation* via =
-            arena[current].parent >= 0 ? &arena[current].via : nullptr;
-        guide->Partition(state, goal, via, candidates, &defer);
-      }
+    // ---- Phase 1 (serial): enumerate candidate arcs out of this state.
+    // Snapshot: arena may reallocate while children are appended. Under
+    // the copy-on-write substrate this is an O(1) handle copy — no cells
+    // are cloned, and the pool workers read the shared immutable rows.
+    const Table state = arena[current].table;
+    std::vector<Operation> candidates =
+        EnumerateCandidates(state, goal, registry);
+    // Parent facts (symbol bitmap, empty-column count) are shared by
+    // every candidate's pruning checks.
+    const ParentContext parent_context = ParentContext::From(state);
+    // Guided phase: the defer mask is computed serially at expansion
+    // time — the guide sees the exact enumeration order — and is
+    // read-only afterwards, so both evaluation engines share it safely.
+    std::vector<uint8_t> defer;
+    if (guide != nullptr) {
+      defer.assign(candidates.size(), 0);
+      const Operation* via =
+          arena[current].parent >= 0 ? &arena[current].via : nullptr;
+      guide->Partition(state, goal, via, candidates, &defer);
+    }
 
-      if (pool != nullptr && candidates.size() > 1) {
-        outcomes.assign(candidates.size(), CandidateOutcome{});
-        pool->ParallelFor(
-            candidates.size(),
-            [&](size_t i) {
-              evaluate(state, parent_context, candidates[i],
-                       /*compute_h=*/true,
-                       /*deferred=*/!defer.empty() && defer[i] != 0,
-                       outcomes[i]);
-            },
-            cancel);
-        if (cancel != nullptr && cancel->IsCancelled()) {
-          // Salvage the fully evaluated slots — in candidate order, so the
-          // replays stay deterministic — to enrich the anytime frontier,
-          // then stop. Abandoned/interrupted slots hold garbage; skip them.
-          for (size_t i = 0; i < candidates.size(); ++i) {
-            if (!outcomes[i].complete) continue;
-            if (!replay(current, candidates[i], outcomes[i])) {
-              return finalize();
-            }
-          }
-          note_cancel();
-          break;
-        }
+    if (pool != nullptr && candidates.size() > 1) {
+      outcomes.assign(candidates.size(), CandidateOutcome{});
+      pool->ParallelFor(
+          candidates.size(),
+          [&](size_t i) {
+            evaluate(state, parent_context, candidates[i],
+                     /*compute_h=*/true,
+                     /*deferred=*/!defer.empty() && defer[i] != 0,
+                     outcomes[i]);
+          },
+          cancel);
+      if (cancel != nullptr && cancel->IsCancelled()) {
+        // Salvage the fully evaluated slots — in candidate order, so the
+        // replays stay deterministic — to enrich the anytime frontier,
+        // then stop. Abandoned/interrupted slots hold garbage; skip them.
         for (size_t i = 0; i < candidates.size(); ++i) {
+          if (!outcomes[i].complete) continue;
           if (!replay(current, candidates[i], outcomes[i])) {
             return finalize();
           }
         }
-      } else {
-        CandidateOutcome out;
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          const Operation& candidate = candidates[i];
-          // Per-candidate poll: a deadline interrupts mid-round instead of
-          // waiting for the next expansion (the loop head notes the
-          // reason).
-          if (cancel != nullptr && cancel->IsCancelled()) break;
-          out = CandidateOutcome{};
-          evaluate(state, parent_context, candidate, /*compute_h=*/false,
-                   /*deferred=*/!defer.empty() && defer[i] != 0, out);
-          if (!out.complete) break;  // Interrupted mid-evaluation.
-          if (!replay(current, candidate, out)) return finalize();
-        }
-      }
-      continue;
-    }
-
-    // ---- Speculative K-way expansion (the frontier-parallel engine) ----
-    //
-    // Pop up to `width` frontier nodes and evaluate all of their
-    // candidates concurrently, then commit each node serially in pop
-    // order. A commit is only applied after re-checking that the node is
-    // still what a K=1 run would pop next; everything else about the
-    // commit is byte-for-byte the K=1 sequence above, so results are
-    // bit-identical across every (num_threads, expansion_width) pair.
-    batch.clear();
-    while (static_cast<int>(batch.size()) < width && !frontier_empty()) {
-      SpecNode spec;
-      if (astar) {
-        spec.entry = astar_open.top();
-        astar_open.pop();
-        spec.node = spec.entry.node;
-      } else {
-        // BFS pops from the front and pushes children at the back, so a
-        // K-prefix of the FIFO is exactly the next K expansions of a K=1
-        // run: batched BFS commits can never be invalidated.
-        spec.node = bfs_open.front();
-        bfs_open.pop_front();
-      }
-      spec.state = arena[spec.node].table;
-      spec.candidates = EnumerateCandidates(spec.state, goal, registry);
-      if (guide != nullptr) {
-        spec.defer.assign(spec.candidates.size(), 0);
-        const Operation* via = arena[spec.node].parent >= 0
-                                   ? &arena[spec.node].via
-                                   : nullptr;
-        guide->Partition(spec.state, goal, via, spec.candidates,
-                         &spec.defer);
-      }
-      spec.outcomes.assign(spec.candidates.size(), CandidateOutcome{});
-      batch.push_back(std::move(spec));
-    }
-    // Contexts last: ParentContext points at the member's state table, so
-    // it must be built after the batch vector stops moving SpecNodes.
-    for (SpecNode& spec : batch) {
-      spec.context = ParentContext::From(spec.state);
-    }
-    // Member 0 is not speculative — a K=1 run pops it too.
-    result.stats.speculative_expansions += batch.size() - 1;
-
-    work.clear();
-    for (size_t j = 0; j < batch.size(); ++j) {
-      for (size_t i = 0; i < batch[j].candidates.size(); ++i) {
-        work.emplace_back(j, i);
-      }
-    }
-    auto evaluate_item = [&](size_t w) {
-      const auto [j, i] = work[w];
-      evaluate(batch[j].state, batch[j].context, batch[j].candidates[i],
-               /*compute_h=*/true,
-               /*deferred=*/!batch[j].defer.empty() && batch[j].defer[i] != 0,
-               batch[j].outcomes[i]);
-    };
-    if (pool != nullptr && work.size() > 1) {
-      pool->ParallelFor(work.size(), evaluate_item, cancel);
-    } else {
-      for (size_t w = 0; w < work.size(); ++w) {
-        if (cancel != nullptr && cancel->IsCancelled()) break;
-        evaluate_item(w);
-      }
-    }
-
-    // Serial commit, pop order. Members that never commit are discarded
-    // speculation; member 0 never counts (its evaluation is work a K=1
-    // run does too).
-    auto discard_from = [&](size_t first) {
-      for (size_t k = std::max<size_t>(first, 1); k < batch.size(); ++k) {
-        ++result.stats.speculative_discards;
-        if (options.observer != nullptr) {
-          options.observer->OnSpeculationDiscarded(batch[k].node);
-        }
-      }
-    };
-    bool search_done = false;  // Stop reason latched; leave the main loop.
-    bool finished = false;     // Replay said done; return finalize().
-    for (size_t j = 0; j < batch.size(); ++j) {
-      SpecNode& spec = batch[j];
-      if (j > 0) {
-        // The loop-head checks a K=1 run performs before this pop.
-        if (cancel != nullptr && cancel->IsCancelled()) {
-          note_cancel();
-          discard_from(j);
-          search_done = true;
-          break;
-        }
-        if (options.max_expansions > 0 &&
-            result.stats.nodes_expanded >= options.max_expansions) {
-          result.stats.budget_exhausted = true;
-          discard_from(j);
-          search_done = true;
-          break;
-        }
-        // Invalidation: an earlier commit pushed a child that outranks
-        // this entry, so a K=1 run would pop that child next instead.
-        // Restore this member and every later one verbatim — original f /
-        // depth / seq, no anytime or counter side effects, exactly the
-        // queue a K=1 run would hold — and end the batch. (The members
-        // were popped in priority order, so the first outranked one
-        // invalidates the whole tail.)
-        if (astar && !astar_open.empty() && spec.entry > astar_open.top()) {
-          for (size_t k = j; k < batch.size(); ++k) {
-            astar_open.push(batch[k].entry);
-          }
-          discard_from(j);
-          break;
-        }
-      }
-
-      ++result.stats.nodes_expanded;
-      if (cancel != nullptr && cancel->CountNode()) {
         note_cancel();
-        discard_from(j);  // This member's children are dropped too.
-        search_done = true;
         break;
       }
-      if (options.observer != nullptr) {
-        options.observer->OnExpand(spec.node, arena[spec.node].table,
-                                   arena[spec.node].depth);
-      }
-
-      if (cancel != nullptr && cancel->IsCancelled()) {
-        // Fired during the batch evaluation: salvage this member's fully
-        // evaluated slots in candidate order (the K=1 pool path does the
-        // same), then stop; later members never commit.
-        for (size_t i = 0; i < spec.candidates.size(); ++i) {
-          if (!spec.outcomes[i].complete) continue;
-          if (!replay(spec.node, spec.candidates[i], spec.outcomes[i])) {
-            finished = true;
-            break;
-          }
-        }
-        if (!finished) note_cancel();
-        discard_from(j + 1);
-        search_done = true;
-        break;
-      }
-
-      for (size_t i = 0; i < spec.candidates.size(); ++i) {
-        // No cancel fired, so every slot of this member ran to a
-        // definitive fate (ParallelFor covers all indices when its token
-        // stays quiet).
-        if (!replay(spec.node, spec.candidates[i], spec.outcomes[i])) {
-          finished = true;
-          break;
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        if (!replay(current, candidates[i], outcomes[i])) {
+          return finalize();
         }
       }
-      if (finished) {
-        discard_from(j + 1);
-        search_done = true;
-        break;
+    } else {
+      CandidateOutcome out;
+      for (size_t i = 0; i < candidates.size(); ++i) {
+        const Operation& candidate = candidates[i];
+        // Per-candidate poll: a deadline interrupts mid-round instead of
+        // waiting for the next expansion (the loop head notes the
+        // reason).
+        if (cancel != nullptr && cancel->IsCancelled()) break;
+        out = CandidateOutcome{};
+        evaluate(state, parent_context, candidate, /*compute_h=*/false,
+                 /*deferred=*/!defer.empty() && defer[i] != 0, out);
+        if (!out.complete) break;  // Interrupted mid-evaluation.
+        if (!replay(current, candidate, out)) return finalize();
       }
     }
-    if (finished) return finalize();
-    if (search_done) break;
   }
 
   return finalize();
@@ -1002,8 +811,6 @@ SearchResult SynthesizeProgram(const Table& input, const Table& goal,
   }
   s.heuristic_cache_hits += g.heuristic_cache_hits;
   s.heuristic_cache_misses += g.heuristic_cache_misses;
-  s.speculative_expansions += g.speculative_expansions;
-  s.speculative_discards += g.speculative_discards;
   s.elapsed_ms += g.elapsed_ms;
   return second;
 }

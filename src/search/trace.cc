@@ -86,11 +86,6 @@ void SearchTraceRecorder::OnDuplicate(int parent, const Operation& operation) {
       EdgeRecord{parent, operation.ToString(), true, PruneReason::kKept});
 }
 
-void SearchTraceRecorder::OnSpeculationDiscarded(int node) {
-  (void)node;
-  ++speculation_discards_;
-}
-
 std::string SearchTraceRecorder::ToDot() const {
   std::ostringstream out;
   out << "digraph foofah_search {\n";
@@ -108,7 +103,8 @@ std::string SearchTraceRecorder::ToDot() const {
   }
   int pseudo = 0;
   for (const EdgeRecord& edge : rejected_) {
-    std::string id = "r" + std::to_string(pseudo++);
+    std::string id = "r";
+    id += std::to_string(pseudo++);
     if (edge.duplicate) {
       out << "  " << id << " [label=\"" << DotEscape(edge.label)
           << "\\n(duplicate)\", style=dotted, color=gray, fontcolor=gray];\n";

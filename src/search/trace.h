@@ -54,15 +54,6 @@ class SearchObserver {
     (void)parent;
     (void)operation;
   }
-
-  /// A speculatively expanded frontier node (expansion_width > 1) was not
-  /// committed: an earlier commit in the batch pushed a child that
-  /// outranks it (the node returns to the frontier and will be expanded
-  /// again later), or a stop ended the search before its turn. Never fires
-  /// at expansion_width 1, so it is deliberately excluded from the
-  /// recorder's ToText/ToDot renderings — the rendered trace stays
-  /// byte-identical across widths.
-  virtual void OnSpeculationDiscarded(int node) { (void)node; }
 };
 
 /// Records the explored search graph and renders it as Graphviz DOT — the
@@ -82,15 +73,9 @@ class SearchTraceRecorder : public SearchObserver {
   void OnPrune(int parent, const Operation& operation,
                PruneReason reason) override;
   void OnDuplicate(int parent, const Operation& operation) override;
-  void OnSpeculationDiscarded(int node) override;
 
   /// Number of nodes recorded (capped).
   size_t recorded_nodes() const { return nodes_.size(); }
-
-  /// Speculative expansions discarded (uncommitted) during the recorded
-  /// search; a counter rather than rendered events, so ToText/ToDot output
-  /// stays identical across expansion widths.
-  size_t speculation_discards() const { return speculation_discards_; }
 
   /// Graphviz DOT rendering: expanded nodes solid, goal node(s) doubled,
   /// pruned candidates as dashed red leaves labeled with the rule,
@@ -123,7 +108,6 @@ class SearchTraceRecorder : public SearchObserver {
   std::vector<NodeRecord> nodes_;
   std::vector<EdgeRecord> rejected_;
   size_t dropped_events_ = 0;
-  size_t speculation_discards_ = 0;
 };
 
 }  // namespace foofah

@@ -54,14 +54,22 @@ struct SynthesisService::RequestState {
   /// armed deadline while the request waits in the queue.
   CancellationToken cancel;
 
-  /// The private tokens of rung searches currently mid-flight (published
-  /// by the ladder's on_rung_token hook), so an external cancel
-  /// interrupts the searches instead of waiting for a rung boundary.
-  /// Sequential mode holds at most one entry; portfolio mode one per
-  /// racing rung. Guarded by token_mu; each pointer is only valid between
-  /// its active publish and the matching inactive publish.
+  /// The private token of the rung search currently mid-flight
+  /// (published by the ladder's on_rung_token hook), so an external
+  /// cancel interrupts the search instead of waiting for a rung boundary.
+  /// Null between rungs. Guarded by token_mu; only valid between its
+  /// active publish and the matching inactive publish.
   std::mutex token_mu;
-  std::vector<CancellationToken*> active_rung_tokens;
+  CancellationToken* active_rung_token = nullptr;
+
+  /// Fires the request token and the running rung's token, if any. The
+  /// publish hook re-checks the request token under token_mu, so a cancel
+  /// landing between a rung's start and its publish still reaches it.
+  void CancelAll() {
+    cancel.RequestCancel();
+    std::lock_guard<std::mutex> lock(token_mu);
+    if (active_rung_token != nullptr) active_rung_token->RequestCancel();
+  }
 
   /// Completion latch.
   std::mutex mu;
@@ -95,16 +103,7 @@ bool SynthesisService::Ticket::IsReady() const {
   return state_->done;
 }
 
-void SynthesisService::Ticket::Cancel() const {
-  state_->cancel.RequestCancel();
-  // Propagate into rung searches already running. The publish hook
-  // re-checks the request token under token_mu, so a cancel landing
-  // between a rung's start and its publish still reaches it.
-  std::lock_guard<std::mutex> lock(state_->token_mu);
-  for (CancellationToken* token : state_->active_rung_tokens) {
-    token->RequestCancel();
-  }
-}
+void SynthesisService::Ticket::Cancel() const { state_->CancelAll(); }
 
 // --- SynthesisService ----------------------------------------------------
 
@@ -364,27 +363,19 @@ void SynthesisService::Dispatch(const std::shared_ptr<RequestState>& state) {
   if (!state->request.allow_degradation) ladder.rungs.resize(1);
   ladder.cancel = &state->cancel;
   ladder.deadline = state->deadline;
-  ladder.portfolio = options_.portfolio;
   if (state->deadline.has_value()) {
     double remaining_ms = ElapsedMs(state->dispatch_time, *state->deadline);
     if (remaining_ms < 1) remaining_ms = 1;
-    int64_t slice_ms;
-    if (ladder.portfolio) {
-      // Racing rungs share the wall clock: every rung gets all the time
-      // still left (the absolute deadline caps them anyway).
-      slice_ms = std::max<int64_t>(1, static_cast<int64_t>(remaining_ms));
-    } else {
-      // Sequential descent: split the time still left across the rungs
-      // proportionally to their budget scales, so rung 0 cannot eat the
-      // whole deadline and leave the cheaper rungs stillborn.
-      double scale_sum = 0;
-      for (const LadderRung& rung : ladder.rungs) {
-        scale_sum += std::max(rung.budget_scale, 0.0);
-      }
-      if (scale_sum <= 0) scale_sum = 1;
-      slice_ms =
-          std::max<int64_t>(1, static_cast<int64_t>(remaining_ms / scale_sum));
+    // Split the time still left across the rungs proportionally to their
+    // budget scales, so rung 0 cannot eat the whole deadline and leave the
+    // cheaper rungs stillborn.
+    double scale_sum = 0;
+    for (const LadderRung& rung : ladder.rungs) {
+      scale_sum += std::max(rung.budget_scale, 0.0);
     }
+    if (scale_sum <= 0) scale_sum = 1;
+    const int64_t slice_ms =
+        std::max<int64_t>(1, static_cast<int64_t>(remaining_ms / scale_sum));
     // The configured per-rung timeout still caps rung 0 when tighter.
     if (ladder.base.timeout_ms <= 0 || slice_ms < ladder.base.timeout_ms) {
       ladder.base.timeout_ms = slice_ms;
@@ -393,17 +384,10 @@ void SynthesisService::Dispatch(const std::shared_ptr<RequestState>& state) {
   ladder.on_rung_token = [state](int /*rung*/, CancellationToken* token,
                                  bool active) {
     std::lock_guard<std::mutex> lock(state->token_mu);
-    if (active) {
-      state->active_rung_tokens.push_back(token);
-      // A Ticket::Cancel that landed before this publish missed the rung
-      // pointer; forward it now so the fresh rung token starts fired.
-      if (state->cancel.IsCancelled()) token->RequestCancel();
-    } else {
-      state->active_rung_tokens.erase(
-          std::remove(state->active_rung_tokens.begin(),
-                      state->active_rung_tokens.end(), token),
-          state->active_rung_tokens.end());
-    }
+    state->active_rung_token = active ? token : nullptr;
+    // A Ticket::Cancel that landed before this publish missed the rung
+    // pointer; forward it now so the fresh rung token starts fired.
+    if (active && state->cancel.IsCancelled()) token->RequestCancel();
   };
 
   LadderResult result = RunDegradationLadder(state->request.input,
@@ -470,13 +454,7 @@ void SynthesisService::Shutdown() {
       join = true;
       flushed.swap(queue_);
       // Executing requests finish on their own — just make it soon.
-      for (RequestState* executing : executing_) {
-        executing->cancel.RequestCancel();
-        std::lock_guard<std::mutex> token_lock(executing->token_mu);
-        for (CancellationToken* token : executing->active_rung_tokens) {
-          token->RequestCancel();
-        }
-      }
+      for (RequestState* executing : executing_) executing->CancelAll();
     }
   }
   queue_cv_.notify_all();

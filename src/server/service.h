@@ -56,15 +56,6 @@ struct ServiceOptions {
   /// to their budget_scale (never exceeding this timeout_ms when set).
   SearchOptions base_search;
 
-  /// Run each request's ladder in portfolio mode (see LadderOptions::
-  /// portfolio): the rungs race concurrently on a shared deadline and the
-  /// first conclusive finisher cancels the cheaper rungs. Cuts tail
-  /// latency on deadline-bound requests — a request no longer serializes
-  /// its truncated rungs — at the cost of up to rungs.size() threads per
-  /// in-flight request. Typed results match the sequential ladder under
-  /// deterministic (node/memory) budgets.
-  bool portfolio = false;
-
   /// Path to a learned guidance snapshot (learn/snapshot.h), loaded once
   /// at construction — the warm-replica boot artifact. A loaded snapshot
   /// installs (a) a GuidancePolicy on base_search.guidance, so every rung

@@ -23,7 +23,11 @@ Shape ExecutedShape(const Operation& op, uint64_t rows, uint64_t cols) {
   for (uint64_t r = 0; r < rows; ++r) {
     Table::Row row;
     for (uint64_t c = 0; c < cols; ++c) {
-      row.push_back("r" + std::to_string(r) + "c" + std::to_string(c));
+      std::string cell = "r";
+      cell += std::to_string(r);
+      cell += 'c';
+      cell += std::to_string(c);
+      row.push_back(std::move(cell));
     }
     data.push_back(std::move(row));
   }

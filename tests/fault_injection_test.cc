@@ -278,21 +278,6 @@ TEST_F(FaultInjectionTest, CancelFiredAtEveryFailurePointTerminatesCleanly) {
       ServiceResponse response = sweep_service.Synthesize(std::move(request));
       EXPECT_NE(response.status.code(), StatusCode::kInternal);
     }
-    // The same request through a portfolio-mode service: the racing rungs
-    // (ladder/rung_start per rung, concurrent tokens) must also unwind to
-    // a typed response under every armed point.
-    {
-      ServiceOptions service_options;
-      service_options.num_workers = 1;
-      service_options.portfolio = true;
-      SynthesisService portfolio_service(service_options);
-      SynthesisRequest request;
-      request.input = Table({{"a", "junk"}, {"b", "junk"}});
-      request.output = Table({{"a"}, {"b"}});
-      ServiceResponse response =
-          portfolio_service.Synthesize(std::move(request));
-      EXPECT_NE(response.status.code(), StatusCode::kInternal);
-    }
 
     // A spill-backed file apply under the same token: whether the cancel
     // lands mid-spill, mid-read, or mid-commit, the apply must unwind to

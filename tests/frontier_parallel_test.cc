@@ -1,10 +1,8 @@
-// Determinism contract of the frontier-parallel (speculative K-way)
-// expansion engine: any (num_threads, expansion_width) combination must
-// produce bit-identical programs, search statistics (modulo the heuristic
-// cache split and the speculative-waste counters, which describe how the
-// search ran rather than what it found), and anytime results. The serial
-// pop-order commit with invalidation-and-restore is what buys this; these
-// tests are the proof.
+// Determinism contract of the parallel expansion engine on runs cut short
+// before the search concludes: what a node budget or a wall-clock deadline
+// leaves is salvaged from the frontier as an anytime result, and that
+// salvage must not depend on the thread count. Full runs are checked in
+// parallel_search_test.
 
 #include <gtest/gtest.h>
 
@@ -14,153 +12,34 @@
 
 #include "scenarios/corpus.h"
 #include "search/search.h"
-#include "util/cancellation.h"
+#include "testing/search_outcome.h"
 
 namespace foofah {
 namespace {
 
-// Deterministic search configuration: wall-clock limits off, expansion
-// budget on, so every run explores the exact same graph prefix.
-SearchOptions ConfiguredOptions(int num_threads, int expansion_width) {
-  SearchOptions options;
-  options.timeout_ms = 0;
-  options.max_expansions = 30'000;
-  options.num_threads = num_threads;
-  options.expansion_width = expansion_width;
-  return options;
-}
+using testing::DeterministicOptions;
+using testing::ExpectIdenticalOutcome;
 
-// Everything except elapsed_ms, the cache split, and the speculative
-// counters must match bit-for-bit.
-void ExpectIdenticalOutcome(const SearchResult& base,
-                            const SearchResult& other,
-                            const std::string& label) {
-  EXPECT_EQ(base.found, other.found) << label;
-  EXPECT_EQ(base.program, other.program) << label;
-  ASSERT_EQ(base.alternatives.size(), other.alternatives.size()) << label;
-  for (size_t i = 0; i < base.alternatives.size(); ++i) {
-    EXPECT_EQ(base.alternatives[i], other.alternatives[i]) << label;
-  }
-  EXPECT_EQ(base.stats.nodes_expanded, other.stats.nodes_expanded) << label;
-  EXPECT_EQ(base.stats.nodes_generated, other.stats.nodes_generated) << label;
-  EXPECT_EQ(base.stats.candidates_tried, other.stats.candidates_tried)
-      << label;
-  EXPECT_EQ(base.stats.duplicates_skipped, other.stats.duplicates_skipped)
-      << label;
-  EXPECT_EQ(base.stats.oversize_skipped, other.stats.oversize_skipped)
-      << label;
-  EXPECT_EQ(base.stats.apply_failures, other.stats.apply_failures) << label;
-  for (int r = 0; r < kNumPruneReasons; ++r) {
-    EXPECT_EQ(base.stats.pruned_by_reason[r], other.stats.pruned_by_reason[r])
-        << label << " prune reason " << r;
-  }
-  EXPECT_EQ(base.stats.timed_out, other.stats.timed_out) << label;
-  EXPECT_EQ(base.stats.budget_exhausted, other.stats.budget_exhausted)
-      << label;
-  EXPECT_EQ(base.stats.cancelled, other.stats.cancelled) << label;
-  // Anytime results are selected at serial push time, so they are part of
-  // the bit-identical contract too.
-  EXPECT_EQ(base.anytime.available, other.anytime.available) << label;
-  if (base.anytime.available && other.anytime.available) {
-    EXPECT_EQ(base.anytime.program, other.anytime.program) << label;
-    EXPECT_EQ(base.anytime.h, other.anytime.h) << label;
-    EXPECT_EQ(base.anytime.input_h, other.anytime.input_h) << label;
-    EXPECT_TRUE(base.anytime.table.ContentEquals(other.anytime.table))
-        << label;
-  }
-}
-
-const std::vector<std::pair<int, int>>& ConfigSweep() {
-  // (threads, K) ∈ {1,2,8} × {1,4,8}; (1,1) is the baseline.
-  static const std::vector<std::pair<int, int>> configs = {
-      {1, 1}, {1, 4}, {1, 8}, {2, 1}, {2, 4},
-      {2, 8}, {8, 1}, {8, 4}, {8, 8},
-  };
-  return configs;
-}
-
-// The full 50-scenario corpus under every (threads, K) combination:
-// programs, counters and anytime outputs must match the (1, 1) baseline.
-// Unsolvable scenarios exhaust the expansion budget, checking that budget
-// exits land on the identical node even when the batch engine has
-// speculated past them.
-TEST(FrontierParallelTest, ConfigurationsAgreeOnFullCorpus) {
-  int covered = 0;
-  for (const Scenario& scenario : Corpus()) {
-    Result<ExamplePair> example =
-        scenario.MakeExample(std::min(2, scenario.total_records()));
-    ASSERT_TRUE(example.ok()) << scenario.name();
-
-    SearchOptions options = ConfiguredOptions(1, 1);
-    if (!scenario.tags().solvable) options.max_expansions = 2'000;
-
-    SearchResult base =
-        SynthesizeProgram(example->input, example->output, options);
-    EXPECT_EQ(base.stats.speculative_expansions, 0u) << scenario.name();
-    EXPECT_EQ(base.stats.speculative_discards, 0u) << scenario.name();
-    for (const auto& [threads, k] : ConfigSweep()) {
-      if (threads == 1 && k == 1) continue;
-      options.num_threads = threads;
-      options.expansion_width = k;
-      SearchResult other =
-          SynthesizeProgram(example->input, example->output, options);
-      ExpectIdenticalOutcome(base, other,
-                             scenario.name() + " threads=" +
-                                 std::to_string(threads) +
-                                 " K=" + std::to_string(k));
-    }
-    ++covered;
-  }
-  EXPECT_EQ(covered, 50);
-}
-
-// The speculative counters actually move: across the corpus at K=8 some
-// expansion batch must start speculative work, and some of it must be
-// discarded by the invalidation check (otherwise the serial-commit rule is
-// vacuous and the engine silently degenerated to K=1).
-TEST(FrontierParallelTest, SpeculationIsExercisedAcrossCorpus) {
-  uint64_t started = 0;
-  uint64_t discarded = 0;
-  for (const Scenario& scenario : Corpus()) {
-    Result<ExamplePair> example =
-        scenario.MakeExample(std::min(2, scenario.total_records()));
-    ASSERT_TRUE(example.ok()) << scenario.name();
-    SearchOptions options = ConfiguredOptions(2, 8);
-    if (!scenario.tags().solvable) options.max_expansions = 2'000;
-    SearchResult r =
-        SynthesizeProgram(example->input, example->output, options);
-    started += r.stats.speculative_expansions;
-    discarded += r.stats.speculative_discards;
-    EXPECT_LE(r.stats.speculative_discards, r.stats.speculative_expansions)
-        << scenario.name();
-  }
-  EXPECT_GT(started, 0u);
-  EXPECT_GT(discarded, 0u);
-}
-
-// Deterministic truncation: a node budget stops every configuration at the
+// Deterministic truncation: a node budget stops every thread count at the
 // same generated node, so the salvaged anytime result must be identical —
-// program, h, and produced table — across all nine configurations.
+// program, h, and produced table — at 1, 2 and 8 threads.
 TEST(FrontierParallelTest, NodeBudgetAnytimeResultsAgree) {
   int checked = 0;
   for (const Scenario& scenario : Corpus()) {
     Result<ExamplePair> example = scenario.MakeExample(1);
     ASSERT_TRUE(example.ok()) << scenario.name();
 
-    SearchOptions options = ConfiguredOptions(1, 1);
+    SearchOptions options = DeterministicOptions(1);
     options.node_budget = 500;
-    SearchResult base =
+    SearchResult serial =
         SynthesizeProgram(example->input, example->output, options);
-    for (const auto& [threads, k] : ConfigSweep()) {
-      if (threads == 1 && k == 1) continue;
+    for (int threads : {2, 8}) {
       options.num_threads = threads;
-      options.expansion_width = k;
-      SearchResult other =
+      SearchResult parallel =
           SynthesizeProgram(example->input, example->output, options);
-      ExpectIdenticalOutcome(base, other,
-                             scenario.name() + " budget threads=" +
-                                 std::to_string(threads) +
-                                 " K=" + std::to_string(k));
+      ExpectIdenticalOutcome(
+          serial, parallel,
+          scenario.name() + " budget threads=" + std::to_string(threads));
     }
     if (++checked == 10) break;  // Ten scenarios bound the sweep's runtime.
   }
@@ -169,11 +48,11 @@ TEST(FrontierParallelTest, NodeBudgetAnytimeResultsAgree) {
 
 // Wall-clock deadlines are inherently racy — which expansion observes the
 // expiry depends on the scheduler — so under a 5 ms deadline the contract
-// is typed validity, not bit-equality: every configuration must return a
+// is typed validity, not bit-equality: every thread count must return a
 // well-formed result, and any anytime partial must honor its invariants
 // (strict progress, non-empty program, program reproduces the table).
-// When no configuration hit the deadline the runs were deterministic after
-// all, and the full bit-identical contract applies.
+// When no run hit the deadline the runs were deterministic after all, and
+// the full bit-identical contract applies.
 TEST(FrontierParallelTest, FiveMillisecondDeadlineStaysTypedAndValid) {
   const Scenario* scenario = FindScenario("wrangler3_contacts");
   ASSERT_NE(scenario, nullptr);
@@ -183,8 +62,8 @@ TEST(FrontierParallelTest, FiveMillisecondDeadlineStaysTypedAndValid) {
 
   std::vector<SearchResult> results;
   bool any_timed_out = false;
-  for (const auto& [threads, k] : ConfigSweep()) {
-    SearchOptions options = ConfiguredOptions(threads, k);
+  for (int threads : {1, 2, 8}) {
+    SearchOptions options = DeterministicOptions(threads);
     options.timeout_ms = 5;
     SearchResult r =
         SynthesizeProgram(example->input, example->output, options);
@@ -205,69 +84,8 @@ TEST(FrontierParallelTest, FiveMillisecondDeadlineStaysTypedAndValid) {
   if (!any_timed_out) {
     for (size_t i = 1; i < results.size(); ++i) {
       ExpectIdenticalOutcome(results[0], results[i],
-                             "deadline config " + std::to_string(i));
+                             "deadline run " + std::to_string(i));
     }
-  }
-}
-
-// BFS takes the FIFO frontier: a K-prefix of the queue is exactly the next
-// K expansions of a K=1 run, so batching must not disturb it either.
-TEST(FrontierParallelTest, AgreesUnderBfsStrategy) {
-  const Scenario* scenario = nullptr;
-  for (const Scenario& s : Corpus()) {
-    if (s.tags().solvable) {
-      scenario = &s;
-      break;
-    }
-  }
-  ASSERT_NE(scenario, nullptr);
-  Result<ExamplePair> example = scenario->MakeExample(1);
-  ASSERT_TRUE(example.ok());
-
-  SearchOptions base_options = ConfiguredOptions(1, 1);
-  base_options.strategy = SearchStrategy::kBfs;
-  base_options.max_expansions = 3'000;
-  SearchResult base =
-      SynthesizeProgram(example->input, example->output, base_options);
-  for (const auto& [threads, k] : ConfigSweep()) {
-    if (threads == 1 && k == 1) continue;
-    SearchOptions options = base_options;
-    options.num_threads = threads;
-    options.expansion_width = k;
-    SearchResult other =
-        SynthesizeProgram(example->input, example->output, options);
-    ExpectIdenticalOutcome(base, other,
-                           "bfs threads=" + std::to_string(threads) +
-                               " K=" + std::to_string(k));
-  }
-}
-
-// Tree-search mode (deduplication off) re-expands shared substructure;
-// the batch engine's restore path must stay deterministic there too.
-TEST(FrontierParallelTest, AgreesWithDeduplicationDisabled) {
-  const Scenario* scenario = nullptr;
-  for (const Scenario& s : Corpus()) {
-    if (s.tags().solvable) {
-      scenario = &s;
-      break;
-    }
-  }
-  ASSERT_NE(scenario, nullptr);
-  Result<ExamplePair> example = scenario->MakeExample(1);
-  ASSERT_TRUE(example.ok());
-
-  SearchOptions base_options = ConfiguredOptions(1, 1);
-  base_options.deduplicate_states = false;
-  base_options.max_expansions = 2'000;
-  SearchResult base =
-      SynthesizeProgram(example->input, example->output, base_options);
-  for (int k : {4, 8}) {
-    SearchOptions options = base_options;
-    options.num_threads = 4;
-    options.expansion_width = k;
-    SearchResult other =
-        SynthesizeProgram(example->input, example->output, options);
-    ExpectIdenticalOutcome(base, other, "no-dedup K=" + std::to_string(k));
   }
 }
 

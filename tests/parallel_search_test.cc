@@ -1,9 +1,11 @@
-// Determinism contract of the parallel expansion engine: any thread count
-// must produce bit-identical programs and search statistics (modulo the
-// heuristic-cache hit/miss split, which legitimately shifts because the
-// parallel engine estimates before deduplication). Also exercises the
-// ThreadPool primitive directly, since the search only ever drives it with
-// well-behaved batches.
+// Determinism contract of the parallel expansion engine on full runs: any
+// thread count must produce bit-identical programs, search statistics
+// (modulo the heuristic-cache hit/miss split, which legitimately shifts
+// because the parallel engine estimates before deduplication) and anytime
+// results. Runs cut short by a node budget or a deadline are checked in
+// frontier_parallel_test. Also exercises the ThreadPool primitive
+// directly, since the search only ever drives it with well-behaved
+// batches.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include "profile/structure.h"
 #include "scenarios/corpus.h"
 #include "search/search.h"
+#include "testing/search_outcome.h"
 #include "util/thread_pool.h"
 
 namespace foofah {
@@ -63,46 +66,8 @@ TEST(ThreadPoolTest, SingleThreadPoolRunsInline) {
   EXPECT_EQ(sum, 4950);
 }
 
-// Deterministic search configuration: wall-clock limits off, expansion
-// budget on, so every run explores the exact same graph prefix.
-SearchOptions DeterministicOptions(int num_threads) {
-  SearchOptions options;
-  options.timeout_ms = 0;
-  options.max_expansions = 30'000;
-  options.num_threads = num_threads;
-  return options;
-}
-
-void ExpectIdenticalOutcome(const SearchResult& serial,
-                            const SearchResult& parallel,
-                            const std::string& label) {
-  EXPECT_EQ(serial.found, parallel.found) << label;
-  EXPECT_EQ(serial.program, parallel.program) << label;
-  ASSERT_EQ(serial.alternatives.size(), parallel.alternatives.size()) << label;
-  for (size_t i = 0; i < serial.alternatives.size(); ++i) {
-    EXPECT_EQ(serial.alternatives[i], parallel.alternatives[i]) << label;
-  }
-  EXPECT_EQ(serial.stats.nodes_expanded, parallel.stats.nodes_expanded)
-      << label;
-  EXPECT_EQ(serial.stats.nodes_generated, parallel.stats.nodes_generated)
-      << label;
-  EXPECT_EQ(serial.stats.candidates_tried, parallel.stats.candidates_tried)
-      << label;
-  EXPECT_EQ(serial.stats.duplicates_skipped, parallel.stats.duplicates_skipped)
-      << label;
-  EXPECT_EQ(serial.stats.oversize_skipped, parallel.stats.oversize_skipped)
-      << label;
-  EXPECT_EQ(serial.stats.apply_failures, parallel.stats.apply_failures)
-      << label;
-  for (int r = 0; r < kNumPruneReasons; ++r) {
-    EXPECT_EQ(serial.stats.pruned_by_reason[r],
-              parallel.stats.pruned_by_reason[r])
-        << label << " prune reason " << r;
-  }
-  EXPECT_EQ(serial.stats.timed_out, parallel.stats.timed_out) << label;
-  EXPECT_EQ(serial.stats.budget_exhausted, parallel.stats.budget_exhausted)
-      << label;
-}
+using testing::DeterministicOptions;
+using testing::ExpectIdenticalOutcome;
 
 // The full 50-scenario corpus, searched with 1, 2 and 8 threads: programs
 // and every pruning/accounting counter must match. Unsolvable scenarios

@@ -358,103 +358,15 @@ TEST_F(ServiceTest, CancelMidSearchInterruptsTheRung) {
   EXPECT_TRUE(response.attempts[0].stats.cancelled);
 }
 
-TEST_F(ServiceTest, PortfolioModeMatchesSequentialLadderOnCorpus) {
-  // The rung race must be invisible in the response: under deterministic
-  // node budgets (no deadline), a portfolio service returns the same
-  // typed result — status, program, winning rung, per-attempt expansion
-  // counts — as the sequential-ladder service, corpus-wide.
-  ServiceOptions sequential_options;
-  sequential_options.num_workers = 2;
-  sequential_options.default_deadline_ms = 0;  // Node budgets only.
-  ServiceOptions portfolio_options = sequential_options;
-  portfolio_options.portfolio = true;
-  SynthesisService sequential(sequential_options);
-  SynthesisService portfolio(portfolio_options);
-
-  for (const Scenario& scenario : Corpus()) {
-    auto example = scenario.MakeExample(1);
-    ASSERT_TRUE(example.ok()) << scenario.name();
-    auto make_request = [&] {
-      SynthesisRequest request;
-      request.input = example->input;
-      request.output = example->output;
-      request.node_budget = 1'500;
-      return request;
-    };
-    ServiceResponse a = sequential.Synthesize(make_request());
-    ServiceResponse b = portfolio.Synthesize(make_request());
-    EXPECT_EQ(a.status.code(), b.status.code()) << scenario.name();
-    EXPECT_EQ(a.found, b.found) << scenario.name();
-    EXPECT_EQ(a.program, b.program) << scenario.name();
-    EXPECT_EQ(a.winning_rung, b.winning_rung) << scenario.name();
-    EXPECT_EQ(a.anytime.available, b.anytime.available) << scenario.name();
-    if (a.anytime.available && b.anytime.available) {
-      EXPECT_EQ(a.anytime.h, b.anytime.h) << scenario.name();
-      EXPECT_EQ(a.anytime.program, b.anytime.program) << scenario.name();
-    }
-    ASSERT_EQ(a.attempts.size(), b.attempts.size()) << scenario.name();
-    for (size_t i = 0; i < a.attempts.size(); ++i) {
-      EXPECT_EQ(a.attempts[i].stats.nodes_expanded,
-                b.attempts[i].stats.nodes_expanded)
-          << scenario.name() << " rung " << i;
-      EXPECT_EQ(a.attempts[i].found, b.attempts[i].found)
-          << scenario.name() << " rung " << i;
-      EXPECT_EQ(a.attempts[i].truncated, b.attempts[i].truncated)
-          << scenario.name() << " rung " << i;
-    }
-  }
-}
-
-TEST_F(ServiceTest, PortfolioRacesAllRungsAndReportsTheWinner) {
+TEST_F(ServiceTest, TicketCancelBeforeRungPublishReachesTheRung) {
   if (!kFaultBuild) GTEST_SKIP() << "needs -DFOOFAH_FAULT_INJECTION=ON";
-  // Pin the race with the rung-start fault point: hold every rung at its
-  // start line until all three have arrived, proving they genuinely race
-  // (a sequential descent would deadlock here — rung 1 never starts
-  // before rung 0 finishes). Released together, the strongest rung still
-  // wins and the losers never surface as attempts. The winner-cancels-
-  // losers token propagation itself is pinned deterministically at the
-  // ladder layer (PortfolioWinnerCancellationPropagatesToLosers).
+  // Park rung 0 at its start line, after the ladder's between-rung cancel
+  // check but before the rung publishes its token, and cancel the ticket
+  // there. The publish hook must forward the request cancel to the fresh
+  // rung token, so the search returns cancelled without expanding and the
+  // response is typed kCancelled.
   ServiceOptions options;
   options.num_workers = 1;
-  options.portfolio = true;
-  options.default_deadline_ms = 60'000;
-  SynthesisService service(options);
-
-  std::mutex mu;
-  std::condition_variable cv;
-  int arrived = 0;
-  FaultInjector::Instance().ArmCallback(
-      fault_points::kLadderRungStart, [&] {
-        std::unique_lock<std::mutex> lock(mu);
-        ++arrived;
-        cv.notify_all();
-        cv.wait(lock, [&] { return arrived >= 3; });
-      });
-
-  ServiceResponse response = service.Synthesize(EasyRequest());
-  FaultInjector::Instance().Disarm(fault_points::kLadderRungStart);
-
-  EXPECT_EQ(FaultInjector::Instance().HitCount(
-                fault_points::kLadderRungStart),
-            3u)
-      << "all three rungs must enter the race";
-  EXPECT_TRUE(response.status.ok()) << response.status.ToString();
-  EXPECT_TRUE(response.found);
-  EXPECT_EQ(response.winning_rung, 0);
-  EXPECT_EQ(response.attempts.size(), 1u)
-      << "racing losers must not surface as attempts";
-}
-
-TEST_F(ServiceTest, TicketCancelReachesEveryRacingRung) {
-  if (!kFaultBuild) GTEST_SKIP() << "needs -DFOOFAH_FAULT_INJECTION=ON";
-  // Cancellation must fan out across the whole portfolio: park all three
-  // rungs at their start line, cancel the ticket while they are parked,
-  // then release them. Every rung's racing token picks up the request
-  // cancel when it is published, so all three searches return cancelled
-  // without expanding and the response is typed kCancelled.
-  ServiceOptions options;
-  options.num_workers = 1;
-  options.portfolio = true;
   options.default_deadline_ms = 60'000;
   SynthesisService service(options);
 
@@ -473,7 +385,7 @@ TEST_F(ServiceTest, TicketCancelReachesEveryRacingRung) {
   SynthesisService::Ticket ticket = service.Submit(EasyRequest());
   {
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return arrived >= 3; });
+    cv.wait(lock, [&] { return arrived >= 1; });
   }
   ticket.Cancel();
   {
@@ -488,11 +400,10 @@ TEST_F(ServiceTest, TicketCancelReachesEveryRacingRung) {
   EXPECT_EQ(response.status.code(), StatusCode::kCancelled)
       << response.status.ToString();
   EXPECT_FALSE(response.found);
-  for (const LadderAttempt& attempt : response.attempts) {
-    EXPECT_TRUE(attempt.stats.cancelled);
-    EXPECT_EQ(attempt.stats.nodes_expanded, 0u)
-        << "a rung that starts cancelled must not expand";
-  }
+  ASSERT_EQ(response.attempts.size(), 1u) << "descent must stop on cancel";
+  EXPECT_TRUE(response.attempts[0].stats.cancelled);
+  EXPECT_EQ(response.attempts[0].stats.nodes_expanded, 0u)
+      << "a rung that starts cancelled must not expand";
 }
 
 TEST_F(ServiceTest, ShutdownFlushesQueueAndCancelsExecuting) {

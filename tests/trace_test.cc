@@ -155,86 +155,6 @@ TEST(TraceTest, EventSequenceIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(TraceTest, EventSequenceIdenticalAcrossExpansionWidths) {
-  // Same contract for the speculative K-way engine: a batch commits its
-  // members serially in pop order with invalidation-and-restore, so the
-  // rendered event stream — which deliberately excludes the
-  // OnSpeculationDiscarded bookkeeping callback — must stay byte-identical
-  // between K=1 and K=8 at any thread count.
-  Table in = {{"Niles C.", "Tel:(800)645-8397"},
-              {"", "Fax:(907)586-7252"},
-              {"Jean H.", "Tel:(918)781-4600"},
-              {"", "Fax:(918)781-4604"}};
-  Table out = {{"", "Tel", "Fax"},
-               {"Niles C.", "(800)645-8397", "(907)586-7252"},
-               {"Jean H.", "(918)781-4600", "(918)781-4604"}};
-
-  auto run = [&](int num_threads, int expansion_width) {
-    EventLogObserver log;
-    SearchOptions options;
-    options.timeout_ms = 0;
-    options.max_expansions = 2'000;
-    options.num_threads = num_threads;
-    options.expansion_width = expansion_width;
-    options.observer = &log;
-    SearchResult r = SynthesizeProgram(in, out, options);
-    EXPECT_TRUE(r.found);
-    return std::make_pair(r.program.ToScript(), log.events());
-  };
-
-  auto [base_program, base_events] = run(1, 1);
-  ASSERT_FALSE(base_events.empty());
-  for (const auto& [threads, k] :
-       {std::make_pair(1, 8), std::make_pair(8, 8)}) {
-    auto [program, events] = run(threads, k);
-    EXPECT_EQ(base_program, program) << "threads=" << threads << " K=" << k;
-    ASSERT_EQ(base_events.size(), events.size())
-        << "threads=" << threads << " K=" << k;
-    for (size_t i = 0; i < base_events.size(); ++i) {
-      ASSERT_EQ(base_events[i], events[i])
-          << "event " << i << " threads=" << threads << " K=" << k;
-    }
-  }
-}
-
-TEST(TraceTest, RecorderCountsSpeculationDiscardsOffTheRenderedTrace) {
-  // The multi-step contacts search at K=8 must invalidate some speculated
-  // members (commits reshuffle the frontier) or abandon a batch tail when
-  // the goal lands mid-batch; the recorder counts those discards without
-  // letting them into ToText/ToDot, keeping the rendered trace
-  // byte-identical to a K=1 run of the same search.
-  Table in = {{"Niles C.", "Tel:(800)645-8397"},
-              {"", "Fax:(907)586-7252"},
-              {"Jean H.", "Tel:(918)781-4600"},
-              {"", "Fax:(918)781-4604"}};
-  Table out = {{"", "Tel", "Fax"},
-               {"Niles C.", "(800)645-8397", "(907)586-7252"},
-               {"Jean H.", "(918)781-4600", "(918)781-4604"}};
-
-  auto run = [&](int expansion_width) {
-    SearchTraceRecorder recorder(64);
-    SearchOptions options;
-    options.timeout_ms = 0;
-    options.max_expansions = 40;
-    options.num_threads = 2;
-    options.expansion_width = expansion_width;
-    options.observer = &recorder;
-    SearchResult r = SynthesizeProgram(in, out, options);
-    return std::make_tuple(recorder.ToText(), recorder.ToDot(),
-                           recorder.speculation_discards(),
-                           r.stats.speculative_discards);
-  };
-
-  auto [text1, dot1, recorded1, stats1] = run(1);
-  auto [text8, dot8, recorded8, stats8] = run(8);
-  EXPECT_EQ(recorded1, 0u);
-  EXPECT_EQ(stats1, 0u);
-  EXPECT_EQ(recorded8, stats8);  // Recorder sees every discard callback.
-  EXPECT_GT(recorded8, 0u);
-  EXPECT_EQ(text1, text8);  // Discards never reach the rendering.
-  EXPECT_EQ(dot1, dot8);
-}
-
 TEST(TraceTest, NullObserverIsSupported) {
   // Baseline sanity: search without an observer is unaffected (and the
   // default no-op observer compiles/links).
