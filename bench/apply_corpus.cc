@@ -29,6 +29,7 @@
 #include <cstring>
 #include <chrono>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "alloc_counter.h"
@@ -51,9 +52,9 @@ double NowMs() {
 }
 
 // Deterministic columnar data: an id column (all distinct), an enum-like
-// column (13 values, exercising the interner), a date column with a '-'
-// structure (exercising Split), and a mixed digits/words column
-// (exercising Divide/Delete). ~34 bytes per record.
+// column (13 values), a date column with a '-' structure (exercising
+// Split), and a mixed digits/words column (exercising Divide/Delete).
+// ~34 bytes per record.
 Status GenerateCsv(const std::string& path, uint64_t rows) {
   CsvChunkWriter writer(path);
   std::string_view cells[4];
@@ -130,6 +131,10 @@ int RunSweep(const char* out_path, const std::vector<uint64_t>& sizes,
     return 1;
   }
   std::fprintf(json, "{\n  \"bench\": \"apply_corpus\",\n");
+  // The executor is single-threaded; the core count says which host the
+  // numbers come from.
+  std::fprintf(json, "  \"host_cores\": %u,\n",
+               std::thread::hardware_concurrency());
   std::fprintf(json, "  \"chunk_rows\": %zu,\n  \"sizes\": [\n", chunk_rows);
 
   // For the bounded-memory ratio: the streaming workload's tracked peak

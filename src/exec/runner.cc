@@ -127,8 +127,7 @@ uint64_t ResolveSpillThreshold(const ApplyOptions& options) {
   return options.spill_threshold_bytes;
 }
 
-using ReaderFactory =
-    std::function<std::unique_ptr<CsvChunkReader>(bool intern_cells)>;
+using ReaderFactory = std::function<std::unique_ptr<CsvChunkReader>()>;
 
 Result<ApplyStats> ApplyImpl(const Program& program,
                              const ReaderFactory& make_reader,
@@ -164,7 +163,7 @@ Result<ApplyStats> ApplyImpl(const Program& program,
   Shape input_shape;
   {
     ++pass;
-    std::unique_ptr<CsvChunkReader> reader = make_reader(false);
+    std::unique_ptr<CsvChunkReader> reader = make_reader();
     MeasureSink profile;
     PassIo io;
     Status driven = DrivePipeline(reader.get(), &profile, options, &gauge,
@@ -184,7 +183,7 @@ Result<ApplyStats> ApplyImpl(const Program& program,
     Result<std::vector<std::unique_ptr<RowSink>>> chain =
         BuildChain(steps, steps.size(), &sink, &head);
     if (!chain.ok()) return chain.status();
-    std::unique_ptr<CsvChunkReader> reader = make_reader(false);
+    std::unique_ptr<CsvChunkReader> reader = make_reader();
     PassIo io;
     Status driven = DrivePipeline(reader.get(), head, options, &gauge, pass,
                                   total_passes, {}, {}, &io);
@@ -207,15 +206,13 @@ Result<ApplyStats> ApplyImpl(const Program& program,
     Result<std::vector<std::unique_ptr<RowSink>>> chain =
         BuildChain(steps, steps.size(), &out_sink, &head);
     if (!chain.ok()) return chain.status();
-    std::unique_ptr<CsvChunkReader> reader =
-        make_reader(options.intern_cells);
+    std::unique_ptr<CsvChunkReader> reader = make_reader();
     PassIo io;
     Status driven = DrivePipeline(
         reader.get(), head, options, &gauge, pass, total_passes,
         [&] { return static_cast<uint64_t>(writer->buffered_bytes()); },
         [&] { return out_sink.rows(); }, &io);
     if (!driven.ok()) return driven;
-    stats.interner = reader->interner_stats();
     stats.rows_out = out_sink.rows();
   } else {
     // Blocking suffix: materialize the prefix output under the memory
@@ -230,14 +227,12 @@ Result<ApplyStats> ApplyImpl(const Program& program,
     Result<std::vector<std::unique_ptr<RowSink>>> chain =
         BuildChain(steps, steps.size(), &materialize, &head);
     if (!chain.ok()) return chain.status();
-    std::unique_ptr<CsvChunkReader> reader =
-        make_reader(options.intern_cells);
+    std::unique_ptr<CsvChunkReader> reader = make_reader();
     PassIo io;
     Status driven = DrivePipeline(
         reader.get(), head, options, &gauge, pass, total_passes,
         [&] { return materialize.bytes_buffered(); }, {}, &io);
     if (!driven.ok()) return driven;
-    stats.interner = reader->interner_stats();
 
     Result<Relation> taken = materialize.Take();
     if (!taken.ok()) return taken.status();
@@ -294,9 +289,8 @@ Result<ApplyStats> ApplyProgramToCsvFile(const Program& program,
   };
 
   CsvChunkWriter writer(tmp_out, options.csv);
-  ReaderFactory make_reader = [&](bool intern_cells) {
-    return std::make_unique<CsvChunkReader>(input_path, options.csv,
-                                            intern_cells);
+  ReaderFactory make_reader = [&] {
+    return std::make_unique<CsvChunkReader>(input_path, options.csv);
   };
   Result<ApplyStats> result =
       ApplyImpl(program, make_reader, &writer, options, temp_dir);
@@ -317,8 +311,8 @@ Result<ApplyStats> ApplyProgramToCsvText(const Program& program,
                                          const ApplyOptions& options) {
   const size_t original_size = output->size();
   CsvChunkWriter writer(output, options.csv);
-  ReaderFactory make_reader = [&](bool intern_cells) {
-    return std::make_unique<CsvChunkReader>(input, options.csv, intern_cells);
+  ReaderFactory make_reader = [&] {
+    return std::make_unique<CsvChunkReader>(input, options.csv);
   };
   // No output file to stage next to; spill runs (if any) go under the
   // override, else $TMPDIR, else /tmp — created only when needed.

@@ -9,7 +9,6 @@
 #include "program/program.h"
 #include "table/csv.h"
 #include "util/cancellation.h"
-#include "util/interner.h"
 #include "util/status.h"
 
 namespace foofah {
@@ -43,10 +42,11 @@ namespace exec {
 /// reaped on the next invocation (util/tempfile.h).
 ///
 /// Failures are typed and reuse the library's diagnostics unchanged:
-/// CSV problems are the whole-file reader's ParseErrors with positional
-/// context, invalid operations are ValidateOperation's InvalidArgument
-/// messages, and budget/cancel stops map through the canonical
-/// StatusFromCancelReason table (memory budget → kResourceExhausted).
+/// CSV problems are the reader's ParseErrors with positional context
+/// (the ones ParseCsv reports), invalid operations are
+/// ValidateOperation's InvalidArgument messages, and budget/cancel stops
+/// map through the canonical StatusFromCancelReason table (memory
+/// budget → kResourceExhausted).
 
 /// Progress snapshot handed to ApplyOptions::progress.
 struct ApplyProgress {
@@ -94,11 +94,6 @@ struct ApplyOptions {
   /// rename is atomic), $TMPDIR or /tmp for the text variant.
   std::string spill_dir;
 
-  /// Deduplicate repeated cell bytes per chunk through a StringInterner
-  /// (columnar data is repetitive; interning bounds the chunk's cell
-  /// storage by its distinct values).
-  bool intern_cells = true;
-
   /// Optional externally owned token (not owned, must outlive the
   /// call): lets callers abort mid-file and compose deadlines. When
   /// null a private token enforces just the memory budget.
@@ -127,7 +122,14 @@ struct ApplyStats {
   /// High-water mark of concurrent spill bytes on disk (the gauge
   /// charged against the disk budget). 0 when nothing spilled.
   uint64_t peak_disk_bytes = 0;
-  StringInterner::Stats interner;  ///< Final pass's cell interner.
+  /// Always zero: cells are views into the reader's buffer and nothing
+  /// is interned. Kept only because perfbench/src/apply.cc:479-482 reads
+  /// `lookups` and `hits`; remove with the next benchmark change.
+  struct InternerStats {
+    uint64_t lookups = 0;
+    uint64_t hits = 0;
+  };
+  InternerStats interner;
 };
 
 /// Applies `program` to the CSV file at `input_path`, writing the

@@ -1,213 +1,68 @@
 #include "table/csv.h"
 
-#include <fstream>
-#include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
+
+#include "table/csv_stream.h"
 
 namespace foofah {
 
 namespace {
 
-std::string AtPosition(size_t line, size_t col) {
-  return "line " + std::to_string(line) + ", column " + std::to_string(col);
+constexpr size_t kRowsPerChunk = 4096;
+
+Result<Table> ReadTable(CsvChunkReader* reader) {
+  std::vector<Table::Row> rows;
+  CsvChunk chunk;
+  for (;;) {
+    Result<bool> got = reader->ReadChunk(kRowsPerChunk, &chunk);
+    if (!got.ok()) return got.status();
+    if (!got.value()) break;
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      const CsvRowView row = chunk.row(r);
+      rows.emplace_back(row.cells, row.cells + row.num_cells);
+    }
+  }
+  return Table(std::move(rows));
+}
+
+Status WriteTable(const Table& table, CsvChunkWriter* writer) {
+  for (size_t r = 0; r < table.num_rows(); ++r) {
+    for (const std::string& cell : table.row(r)) {
+      Status status = writer->WriteCell(cell);
+      if (!status.ok()) return status;
+    }
+    Status status = writer->EndRow();
+    if (!status.ok()) return status;
+  }
+  return writer->Close();
 }
 
 }  // namespace
 
 Result<Table> ParseCsv(std::string_view text, const CsvOptions& options) {
-  std::vector<Table::Row> rows;
-  Table::Row row;
-  std::string cell;
-  bool in_quotes = false;
-  bool row_started = false;
-
-  // 1-based position of text[i] within the physical line, for error
-  // context. cell_* remembers where the current cell started; quote_*
-  // where an open quote started (so an unterminated quote points at its
-  // opening, possibly megabytes before end of input).
-  size_t line = 1, col = 1;
-  size_t cell_line = 1, cell_col = 1;
-  size_t quote_line = 1, quote_col = 1;
-
-  // Consumes n bytes starting at text[i], updating line/col. Only ever
-  // called with the bytes actually inspected, so '\n' accounting is exact.
-  size_t i = 0;
-  auto advance = [&](size_t n) {
-    for (size_t k = 0; k < n; ++k) {
-      if (text[i + k] == '\n') {
-        ++line;
-        col = 1;
-      } else {
-        ++col;
-      }
-    }
-    i += n;
-  };
-  auto start_next_cell = [&]() {
-    cell_line = line;
-    cell_col = col;
-  };
-  auto cell_over_cap = [&]() {
-    return options.max_cell_bytes != 0 && cell.size() > options.max_cell_bytes;
-  };
-
-  while (i < text.size()) {
-    char c = text[i];
-    if (c == '\0') {
-      return Status::ParseError("embedded NUL byte at " +
-                                AtPosition(line, col));
-    }
-    if (in_quotes) {
-      if (c == options.quote) {
-        if (i + 1 < text.size() && text[i + 1] == options.quote) {
-          cell += options.quote;  // Escaped quote.
-          if (cell_over_cap()) {
-            return Status::ParseError(
-                "cell starting at " + AtPosition(cell_line, cell_col) +
-                " exceeds max_cell_bytes (" +
-                std::to_string(options.max_cell_bytes) + ")");
-          }
-          advance(2);
-          continue;
-        }
-        in_quotes = false;
-        advance(1);
-        continue;
-      }
-      cell += c;
-      if (cell_over_cap()) {
-        return Status::ParseError(
-            "cell starting at " + AtPosition(cell_line, cell_col) +
-            " exceeds max_cell_bytes (" +
-            std::to_string(options.max_cell_bytes) + ")");
-      }
-      advance(1);
-      continue;
-    }
-    if (c == options.quote && cell.empty()) {
-      in_quotes = true;
-      row_started = true;
-      quote_line = line;
-      quote_col = col;
-      cell_line = line;
-      cell_col = col;
-      advance(1);
-      continue;
-    }
-    if (c == options.delimiter) {
-      row.push_back(std::move(cell));
-      cell.clear();
-      row_started = true;
-      advance(1);
-      start_next_cell();
-      continue;
-    }
-    if (c == '\r') {
-      // Swallow; the matching '\n' (if any) terminates the record. A lone
-      // CR (classic adversarial / old-Mac line ending) terminates it too
-      // instead of leaking a control byte into the cell.
-      ++i;
-      ++col;
-      if (i >= text.size() || text[i] != '\n') {
-        row.push_back(std::move(cell));
-        cell.clear();
-        rows.push_back(std::move(row));
-        row.clear();
-        row_started = false;
-        ++line;
-        col = 1;
-        start_next_cell();
-      }
-      continue;
-    }
-    if (c == '\n') {
-      row.push_back(std::move(cell));
-      cell.clear();
-      rows.push_back(std::move(row));
-      row.clear();
-      row_started = false;
-      advance(1);
-      start_next_cell();
-      continue;
-    }
-    if (cell.empty()) start_next_cell();
-    cell += c;
-    if (cell_over_cap()) {
-      return Status::ParseError(
-          "cell starting at " + AtPosition(cell_line, cell_col) +
-          " exceeds max_cell_bytes (" +
-          std::to_string(options.max_cell_bytes) + ")");
-    }
-    row_started = true;
-    advance(1);
-  }
-  if (in_quotes) {
-    return Status::ParseError(
-        "unterminated quoted cell in CSV input (quote opened at " +
-        AtPosition(quote_line, quote_col) + ")");
-  }
-  if (row_started || !cell.empty() || !row.empty()) {
-    row.push_back(std::move(cell));
-    rows.push_back(std::move(row));
-  } else if (!options.ignore_trailing_newline && !text.empty()) {
-    rows.push_back({std::string()});
-  }
-  return Table(std::move(rows));
+  // A buffer as large as the text parses it in place.
+  CsvChunkReader reader(text, options, text.size());
+  return ReadTable(&reader);
 }
-
-namespace {
-bool NeedsQuoting(const std::string& cell, const CsvOptions& options) {
-  for (char c : cell) {
-    if (c == options.delimiter || c == options.quote || c == '\n' ||
-        c == '\r') {
-      return true;
-    }
-  }
-  return false;
-}
-}  // namespace
 
 std::string ToCsv(const Table& table, const CsvOptions& options) {
   std::string out;
-  for (size_t r = 0; r < table.num_rows(); ++r) {
-    const Table::Row& row = table.row(r);
-    for (size_t c = 0; c < row.size(); ++c) {
-      if (c > 0) out += options.delimiter;
-      const std::string& cell = row[c];
-      if (NeedsQuoting(cell, options)) {
-        out += options.quote;
-        for (char ch : cell) {
-          out += ch;
-          if (ch == options.quote) out += options.quote;
-        }
-        out += options.quote;
-      } else {
-        out += cell;
-      }
-    }
-    out += '\n';
-  }
+  CsvChunkWriter writer(&out, options);
+  WriteTable(table, &writer);  // A string sink cannot fail.
   return out;
 }
 
 Result<Table> ReadCsvFile(const std::string& path, const CsvOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::NotFound("cannot open file: " + path);
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  return ParseCsv(buffer.str(), options);
+  CsvChunkReader reader(path, options);
+  return ReadTable(&reader);
 }
 
 Status WriteCsvFile(const Table& table, const std::string& path,
                     const CsvOptions& options) {
-  // I/O failures are typed kUnavailable, code- and message-identical to
-  // the streaming CsvChunkWriter (tests pin the parity).
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::Unavailable("cannot open file for writing: " + path);
-  out << ToCsv(table, options);
-  out.flush();
-  if (!out) return Status::Unavailable("write failed: " + path);
-  return Status::OK();
+  CsvChunkWriter writer(path, options);
+  return WriteTable(table, &writer);
 }
 
 }  // namespace foofah

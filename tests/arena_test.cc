@@ -7,8 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "util/interner.h"
-
 namespace foofah {
 namespace {
 
@@ -91,52 +89,6 @@ TEST(ArenaTest, CopyStringRoundTripsAndEmptyIsCheap) {
   std::string_view empty = arena.CopyString("");
   EXPECT_TRUE(empty.empty());
   EXPECT_EQ(arena.bytes_used(), used);  // No allocation for "".
-}
-
-TEST(InternerTest, EqualStringsShareStorage) {
-  StringInterner interner;
-  std::string_view a = interner.Intern("ACTIVE");
-  std::string_view b = interner.Intern("ACTIVE");
-  std::string_view c = interner.Intern("INACTIVE");
-  EXPECT_EQ(a, "ACTIVE");
-  EXPECT_EQ(a.data(), b.data());  // Same stored bytes, not just equal.
-  EXPECT_NE(a.data(), c.data());
-  StringInterner::Stats stats = interner.stats();
-  EXPECT_EQ(stats.lookups, 3u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.entries, 2u);
-}
-
-TEST(InternerTest, RepeatedColumnCostsOneCopy) {
-  StringInterner interner;
-  for (int i = 0; i < 100000; ++i) interner.Intern("enum-like value");
-  StringInterner::Stats stats = interner.stats();
-  EXPECT_EQ(stats.entries, 1u);
-  EXPECT_EQ(stats.hits, 99999u);
-  EXPECT_LT(stats.bytes_stored, 64u);
-}
-
-TEST(InternerTest, ResetDropsEntriesButKeepsCapacity) {
-  StringInterner interner;
-  for (int i = 0; i < 100; ++i) {
-    interner.Intern("value-" + std::to_string(i));
-  }
-  size_t reserved = interner.bytes_reserved();
-  interner.Reset();
-  EXPECT_EQ(interner.stats().entries, 0u);
-  EXPECT_EQ(interner.bytes_reserved(), reserved);
-  // Re-interning after Reset produces fresh storage, not dangling views.
-  std::string_view again = interner.Intern("value-0");
-  EXPECT_EQ(again, "value-0");
-}
-
-TEST(InternerTest, InternedViewsSurviveManyInsertions) {
-  // Views must be stable under rehash of the index (the bytes live in
-  // the arena, not the hash set).
-  StringInterner interner;
-  std::string_view first = interner.Intern("first");
-  for (int i = 0; i < 10000; ++i) interner.Intern(std::to_string(i));
-  EXPECT_EQ(first, "first");
 }
 
 }  // namespace

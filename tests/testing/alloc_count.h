@@ -4,7 +4,8 @@
 // Per-thread heap-allocation counters for tests that assert a code path
 // allocates nothing, or little. Linking alloc_count.cc into a test binary
 // replaces the global operator new/delete with counting wrappers around
-// malloc/free (tests/CMakeLists.txt does this for property_test only).
+// malloc/free (tests/CMakeLists.txt does this for property_test and
+// csv_stream_test).
 
 #include <cstdint>
 
