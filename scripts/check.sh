@@ -59,9 +59,16 @@
 # (exec/spill_write armed) that must fail typed while leaving no output
 # file and no temp/spill directories behind.
 #
+# Stage 11 gates exact counts: scripts/check_counts.py reruns the
+# synth_batch workload of the repository benchmark at seeds 1 and 1017
+# (traced for the layer counts, untraced for solved_frac) and fails on any
+# difference from BENCH_counts.json. Timing cannot resolve a small
+# regression on a shared host; these counts repeat exactly.
+#
 # Usage: scripts/check.sh [--skip-tsan] [--skip-asan] [--skip-fault]
 #                         [--skip-stress] [--skip-perf] [--skip-exec]
 #                         [--skip-fuzz] [--skip-learn] [--skip-spill]
+#                         [--skip-counts]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -96,6 +103,7 @@ SKIP_EXEC=0
 SKIP_FUZZ=0
 SKIP_LEARN=0
 SKIP_SPILL=0
+SKIP_COUNTS=0
 for arg in "$@"; do
   case "${arg}" in
     --skip-tsan) SKIP_TSAN=1 ;;
@@ -107,6 +115,7 @@ for arg in "$@"; do
     --skip-fuzz) SKIP_FUZZ=1 ;;
     --skip-learn) SKIP_LEARN=1 ;;
     --skip-spill) SKIP_SPILL=1 ;;
+    --skip-counts) SKIP_COUNTS=1 ;;
     *) echo "unknown option: ${arg}" >&2; exit 2 ;;
   esac
 done
@@ -433,6 +442,14 @@ EOF
     exit 1
   fi
   echo "spill gate: injected spill failure was typed and left no debris"
+fi
+
+# Stage 11: exact-count gate over the repository benchmark.
+if [[ "${SKIP_COUNTS}" == 1 ]]; then
+  echo "== Count stage skipped =="
+else
+  echo "== Exact counts: synth_batch at seeds 1 and 1017 vs BENCH_counts.json =="
+  python3 scripts/check_counts.py
 fi
 
 echo "All checks passed."

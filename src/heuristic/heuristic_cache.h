@@ -37,6 +37,14 @@ namespace foofah {
 /// collide with another goal's, so a single cache instance can be shared
 /// across searches with different goals (the incremental §5.2 driver grows
 /// the example every round and reuses one cache across rounds).
+///
+/// A search uses a cache only where it can hit: one shared by its caller
+/// (the §5.2 interaction rounds, the staged guided->exact search, the
+/// service's warm cache), or a private one in the parallel engine, which
+/// estimates children before deduplicating them, and in a search without
+/// deduplication. A serial deduplicating search estimates each distinct
+/// state once, so a private cache there would only ever miss; it keeps
+/// none (see SearchOptions::cache_heuristic).
 class HeuristicCache {
  public:
   /// Aggregate counters since construction (or the last Clear()).

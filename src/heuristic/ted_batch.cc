@@ -46,36 +46,32 @@ bool PatternApplies(const PatternSpec& spec, EditType type) {
          spec.has_dst == (type != EditType::kDelete);
 }
 
-// The coordinate index hashes an op's key (type, src, dst) linearly, with
-// wrapping arithmetic: the key one pattern step away then hashes to the
-// op's hash plus the step's, without building that key.
-constexpr uint64_t kTypeMul = 0x9E3779B97F4A7C15ull;
-constexpr uint64_t kSrcRowMul = 0xC2B2AE3D27D4EB4Full;
-constexpr uint64_t kSrcColMul = 0x165667B19E3779F9ull;
-constexpr uint64_t kDstRowMul = 0xD6E8FEB86659FD93ull;
-constexpr uint64_t kDstColMul = 0xFF51AFD7ED558CCDull;
+/// An op's coordinates in cover order: dst row, dst col, src row, src col.
+/// They are widened to 64 bits, so a pattern step never overflows.
+struct CoverKey {
+  int64_t dst_row, dst_col, src_row, src_col;
 
-uint64_t CoordHash(int64_t src_row, int64_t src_col, int64_t dst_row,
-                   int64_t dst_col) {
-  return static_cast<uint64_t>(src_row) * kSrcRowMul +
-         static_cast<uint64_t>(src_col) * kSrcColMul +
-         static_cast<uint64_t>(dst_row) * kDstRowMul +
-         static_cast<uint64_t>(dst_col) * kDstColMul;
+  friend bool operator==(const CoverKey& a, const CoverKey& b) {
+    return a.dst_row == b.dst_row && a.dst_col == b.dst_col &&
+           a.src_row == b.src_row && a.src_col == b.src_col;
+  }
+  friend bool operator<(const CoverKey& a, const CoverKey& b) {
+    if (a.dst_row != b.dst_row) return a.dst_row < b.dst_row;
+    if (a.dst_col != b.dst_col) return a.dst_col < b.dst_col;
+    if (a.src_row != b.src_row) return a.src_row < b.src_row;
+    return a.src_col < b.src_col;
+  }
+};
+
+CoverKey KeyOf(const EditOp& op) {
+  return {op.dst_row, op.dst_col, op.src_row, op.src_col};
 }
 
-uint64_t KeyHash(const EditOp& op) {
-  return static_cast<uint64_t>(op.type) * kTypeMul +
-         CoordHash(op.src_row, op.src_col, op.dst_row, op.dst_col);
-}
-
-/// True when `next` has `op`'s type and sits one `spec` step after it.
-/// The step is taken in 64 bits, so no coordinate overflows.
-bool IsStep(const EditOp& op, const EditOp& next, const PatternSpec& spec) {
-  return next.type == op.type &&
-         next.src_row == int64_t{op.src_row} + spec.src_drow &&
-         next.src_col == int64_t{op.src_col} + spec.src_dcol &&
-         next.dst_row == int64_t{op.dst_row} + spec.dst_drow &&
-         next.dst_col == int64_t{op.dst_col} + spec.dst_dcol;
+/// The key one `spec` step after `key`. A step moves every coordinate by 0
+/// or +1, so it preserves cover order: if a < b then Step(a) < Step(b).
+CoverKey Step(const CoverKey& key, const PatternSpec& spec) {
+  return {key.dst_row + spec.dst_drow, key.dst_col + spec.dst_dcol,
+          key.src_row + spec.src_drow, key.src_col + spec.src_dcol};
 }
 
 constexpr uint32_t kNoOp = UINT32_MAX;
@@ -95,18 +91,14 @@ struct Chain {
 struct CoverScratch {
   /// Op indices grouped by edit type in enum order, ascending in a group.
   std::vector<uint32_t> order;
-  /// Per op: the KeyHash of its key.
-  std::vector<uint64_t> key_hash;
+  /// One type group's op indices in cover order (CoverKey, then index),
+  /// when the path does not list the group in that order already.
+  std::vector<uint32_t> sorted;
+  /// The keys of the group being scanned, in cover order.
+  std::vector<CoverKey> keys;
   /// Per op: 1 when an earlier op has the same type and coordinates. Only
   /// the earliest op of a key joins chains; the others stay singletons.
   std::vector<char> duplicate;
-  /// Open-addressing coordinate index over the path: the earliest op of
-  /// each key, or kNoOp. Its size is a power of two at least twice the
-  /// path length, whatever the coordinates' range; a key's home slot is
-  /// the top bits of its hash.
-  std::vector<uint32_t> slots;
-  uint64_t slot_mask = 0;
-  int slot_shift = 0;
   /// Per op, for the pattern being scanned: the op one step after it (or
   /// kNoOp), and the number of the last scan that found a step before it.
   std::vector<uint32_t> next;
@@ -119,16 +111,6 @@ struct CoverScratch {
   std::vector<char> covered;
   /// The edit path TedBatchCost batches.
   EditPath path;
-
-  /// The earliest op one `spec` step after `ops[from]`, or kNoOp.
-  uint32_t FindStep(const EditOp* ops, uint32_t from, const PatternSpec& spec,
-                    uint64_t step_hash) const {
-    for (uint64_t slot = (key_hash[from] + step_hash) >> slot_shift;;
-         slot = (slot + 1) & slot_mask) {
-      const uint32_t i = slots[slot];
-      if (i == kNoOp || IsStep(ops[from], ops[i], spec)) return i;
-    }
-  }
 };
 
 CoverScratch& ThreadScratch() {
@@ -161,42 +143,42 @@ bool GreedyCover(const EditPath& path, const CancellationToken* cancel,
     }
   }
 
-  // The coordinate index, built once for every type and pattern; on a
-  // duplicate key the earliest op wins.
-  uint64_t capacity = 2;
-  s.slot_shift = 63;
-  while (capacity < 2 * static_cast<uint64_t>(n)) {
-    capacity *= 2;
-    --s.slot_shift;
-  }
-  if (s.slots.size() < capacity) s.slots.resize(capacity);
-  std::fill_n(s.slots.begin(), capacity, kNoOp);
-  s.slot_mask = capacity - 1;
-  s.key_hash.resize(n);
-  s.duplicate.assign(n, 0);
-  for (uint32_t i = 0; i < n; ++i) {
-    const EditOp& op = path[i];
-    s.key_hash[i] = KeyHash(op);
-    uint64_t slot = s.key_hash[i] >> s.slot_shift;
-    while (s.slots[slot] != kNoOp && !(path[s.slots[slot]] == op)) {
-      slot = (slot + 1) & s.slot_mask;
-    }
-    if (s.slots[slot] == kNoOp) {
-      s.slots[slot] = i;
-    } else {
-      s.duplicate[i] = 1;
-    }
-  }
-
   // Lines 4–6: candidate batches = maximal chains under each pattern, in
-  // type-group, then Table 4, then head order. Each scan looks up every
-  // op's successor once; ops nothing precedes are the chain heads.
+  // type-group, then Table 4, then head order. A step preserves cover
+  // order, so each scan finds every op's successor with one merge over
+  // the group in that order; ops nothing precedes are the chain heads.
+  s.duplicate.assign(n, 0);
   s.next.resize(n);
   s.preceded_in_scan.assign(n, 0);
   uint32_t scan = 0;
   for (size_t t = 0; t < kEditTypes; ++t) {
     const uint32_t begin = group_start[t], end = group_start[t + 1];
-    if (end - begin < 2) continue;  // No chain of two.
+    const uint32_t size = end - begin;
+    if (size < 2) continue;  // No chain of two.
+    // GreedyTed lists every group in cover order; only a hand-built path
+    // needs the sort, and the index tie-break keeps it stable, so the
+    // earliest op of a key comes first.
+    const uint32_t* ops = s.order.data() + begin;
+    s.keys.resize(size);
+    bool in_order = true;
+    for (uint32_t k = 0; k < size; ++k) {
+      s.keys[k] = KeyOf(path[ops[k]]);
+      if (k > 0 && s.keys[k] < s.keys[k - 1]) in_order = false;
+    }
+    if (!in_order) {
+      s.sorted.assign(ops, ops + size);
+      std::sort(s.sorted.begin(), s.sorted.end(),
+                [&path](uint32_t a, uint32_t b) {
+                  const CoverKey ka = KeyOf(path[a]), kb = KeyOf(path[b]);
+                  return ka < kb || (ka == kb && a < b);
+                });
+      ops = s.sorted.data();
+      for (uint32_t k = 0; k < size; ++k) s.keys[k] = KeyOf(path[ops[k]]);
+    }
+    for (uint32_t k = 1; k < size; ++k) {
+      if (s.keys[k] == s.keys[k - 1]) s.duplicate[ops[k]] = 1;
+    }
+
     for (uint32_t p = 0; p < kPatterns.size(); ++p) {
       const PatternSpec& spec = kPatterns[p];
       if (!PatternApplies(spec, static_cast<EditType>(t))) continue;
@@ -205,13 +187,17 @@ bool GreedyCover(const EditPath& path, const CancellationToken* cancel,
       // overshoot to one scan.
       if (cancel != nullptr && cancel->IsCancelled()) return false;
       ++scan;
-      const uint64_t step_hash = CoordHash(spec.src_drow, spec.src_dcol,
-                                           spec.dst_drow, spec.dst_dcol);
-      for (uint32_t k = begin; k < end; ++k) {
-        const uint32_t i = s.order[k];
+      uint32_t j = 0;
+      for (uint32_t k = 0; k < size; ++k) {
+        const uint32_t i = ops[k];
         if (s.duplicate[i]) continue;
-        s.next[i] = s.FindStep(path.data(), i, spec, step_hash);
-        if (s.next[i] != kNoOp) s.preceded_in_scan[s.next[i]] = scan;
+        const CoverKey target = Step(s.keys[k], spec);
+        while (j < size && s.keys[j] < target) ++j;
+        s.next[i] = kNoOp;
+        if (j < size && s.keys[j] == target) {
+          s.next[i] = ops[j];
+          s.preceded_in_scan[ops[j]] = scan;
+        }
       }
       for (uint32_t k = begin; k < end; ++k) {
         const uint32_t head = s.order[k];

@@ -6,7 +6,6 @@
 #include <memory>
 #include <queue>
 #include <sstream>
-#include <unordered_map>
 #include <vector>
 
 #include "heuristic/edit_op.h"
@@ -65,28 +64,61 @@ struct Node {
   uint32_t depth = 0;  ///< g(n): operations from the initial state.
 };
 
-/// Exact-membership state set: hash buckets with full-table comparison, so
-/// hash collisions can never merge distinct states.
+/// Exact-membership state set: open addressing over (hash, node) slots
+/// with full-table comparison, so hash collisions can never merge distinct
+/// states. The caller passes each table's Table::Hash(), which the
+/// heuristic memo then reuses; an insert allocates only when the slot
+/// array doubles.
 class StateSet {
  public:
-  explicit StateSet(const std::vector<Node>* arena) : arena_(arena) {}
+  explicit StateSet(const std::vector<Node>* arena)
+      : arena_(arena), slots_(kInitialSlots) {}
 
   /// Returns true and records `table` (by node index) when unseen.
-  bool Insert(const Table& table, int node_index) {
-    uint64_t hash = table.Hash();
-    auto [it, inserted] = buckets_.try_emplace(hash);
-    if (!inserted) {
-      for (int existing : it->second) {
-        if ((*arena_)[existing].table.ContentEquals(table)) return false;
+  bool Insert(const Table& table, uint64_t hash, int node_index) {
+    for (size_t i = SlotOf(hash);; i = (i + 1) & (slots_.size() - 1)) {
+      Slot& slot = slots_[i];
+      if (slot.node < 0) {
+        slot = Slot{hash, node_index};
+        if (++size_ * 2 > slots_.size()) Grow();
+        return true;
+      }
+      if (slot.hash == hash &&
+          (*arena_)[slot.node].table.ContentEquals(table)) {
+        return false;
       }
     }
-    it->second.push_back(node_index);
-    return true;
   }
 
  private:
+  struct Slot {
+    uint64_t hash = 0;
+    int node = -1;  ///< -1 marks an empty slot.
+  };
+  static constexpr int kInitialShift = 58;  ///< 64 slots.
+  static constexpr size_t kInitialSlots = size_t{1} << (64 - kInitialShift);
+
+  /// Fibonacci hashing: the top bits of the product pick the home slot.
+  size_t SlotOf(uint64_t hash) const {
+    return static_cast<size_t>((hash * 0x9E3779B97F4A7C15ull) >> shift_);
+  }
+
+  void Grow() {
+    std::vector<Slot> old(slots_.size() * 2);
+    old.swap(slots_);
+    --shift_;
+    for (const Slot& slot : old) {
+      if (slot.node < 0) continue;
+      size_t i = SlotOf(slot.hash);
+      while (slots_[i].node >= 0) i = (i + 1) & (slots_.size() - 1);
+      slots_[i] = slot;
+    }
+  }
+
   const std::vector<Node>* arena_;
-  std::unordered_map<uint64_t, std::vector<int>> buckets_;
+  std::vector<Slot> slots_;
+  int shift_ = kInitialShift;
+  size_t size_ = 0;
 };
 
 Program ReconstructProgram(const std::vector<Node>& arena, int leaf) {
@@ -140,6 +172,9 @@ struct CandidateOutcome {
   PruneReason reason = PruneReason::kKept;  ///< For the pruned fates.
   Table child;                              ///< For kEvaluated.
   bool is_goal = false;
+  /// Table::Hash() of `child`, for the state set and the memo. Set for a
+  /// non-goal kEvaluated child when either exists.
+  uint64_t hash = 0;
   bool has_h = false;  ///< True when `h` was precomputed in phase 2.
   double h = 0;
   CacheOutcome cache_outcome = CacheOutcome::kNone;
@@ -219,22 +254,6 @@ SearchResult RunSearch(const Table& input, const Table& goal,
   std::unique_ptr<Heuristic> heuristic = MakeHeuristic(options.heuristic);
   const GoalCharSets goal_chars = GoalCharSets::From(goal);
 
-  // Heuristic memo: external when the caller shares one across searches,
-  // otherwise private to this run. Keyed by goal hash too, so a shared
-  // cache never leaks estimates between goals.
-  std::unique_ptr<HeuristicCache> owned_cache;
-  HeuristicCache* cache = nullptr;
-  if (options.cache_heuristic &&
-      options.strategy == SearchStrategy::kAStar) {
-    cache = options.heuristic_cache;
-    if (cache == nullptr) {
-      owned_cache =
-          std::make_unique<HeuristicCache>(options.heuristic_cache_capacity);
-      cache = owned_cache.get();
-    }
-  }
-  const uint64_t goal_hash = goal.Hash();
-
   // Expansion pool: created once per search. num_threads == 1 (or a
   // 1-core machine under the 0 = auto default) takes the serial path.
   const int num_threads = options.num_threads > 0
@@ -242,6 +261,27 @@ SearchResult RunSearch(const Table& input, const Table& goal,
                               : ThreadPool::DefaultThreadCount();
   std::unique_ptr<ThreadPool> pool;
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
+
+  // Heuristic memo: the caller's when it shares one across searches.
+  // Otherwise a private one exists only where it can hit: the parallel
+  // engine estimates before deduplication, and without deduplication a
+  // state is estimated on every visit. A serial deduplicating search
+  // estimates each distinct state once, so a private memo there would
+  // only ever miss. Keyed by goal hash too, so a shared cache never leaks
+  // estimates between goals.
+  const bool count_estimates =
+      options.cache_heuristic && options.strategy == SearchStrategy::kAStar;
+  std::unique_ptr<HeuristicCache> owned_cache;
+  HeuristicCache* cache = nullptr;
+  if (count_estimates) {
+    cache = options.heuristic_cache;
+    if (cache == nullptr && (pool != nullptr || !options.deduplicate_states)) {
+      owned_cache =
+          std::make_unique<HeuristicCache>(options.heuristic_cache_capacity);
+      cache = owned_cache.get();
+    }
+  }
+  const uint64_t goal_hash = goal.Hash();
 
   // Error-tolerant mode: a mistaken example cell may contain (or lack)
   // characters no reachable state can supply, so the content-based global
@@ -258,11 +298,12 @@ SearchResult RunSearch(const Table& input, const Table& goal,
   const double infeasible_estimate =
       static_cast<double>(goal.num_cells()) + 8.0;
   // Thread-safe (the memo is sharded and locked; heuristics are stateless).
-  auto estimate = [&](const Table& state, CacheOutcome* outcome) {
+  // `state_hash` is state.Hash(), computed once per state by the caller.
+  auto estimate = [&](const Table& state, uint64_t state_hash,
+                      CacheOutcome* outcome) {
     double h;
     FOOFAH_FAULT_HIT(fault_points::kHeuristicEstimate);
     if (cache != nullptr) {
-      const uint64_t state_hash = state.Hash();
       // Shape fingerprint rides along as a collision check: a memo entry
       // whose fingerprint disagrees was written by a hash-colliding state
       // — or by a content-equal table with a different stored width,
@@ -292,6 +333,12 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       }
     } else {
       h = heuristic->Estimate(state, goal, cancel);
+      // No memo: a computed estimate still counts as a miss, so hits +
+      // misses stays the number of estimates requested.
+      if (count_estimates && outcome != nullptr &&
+          (cancel == nullptr || !cancel->IsCancelled())) {
+        *outcome = CacheOutcome::kMiss;
+      }
     }
     if (h == kInfiniteCost && tolerant) return infeasible_estimate;
     return h;
@@ -305,7 +352,8 @@ SearchResult RunSearch(const Table& input, const Table& goal,
   StateSet seen(&arena);
 
   arena.push_back(Node{input, -1, Operation{}, 0});
-  seen.Insert(input, 0);
+  const uint64_t input_hash = input.Hash();
+  seen.Insert(input, input_hash, 0);
 
   if (input.ContentEquals(goal)) {
     result.found = true;  // Empty program.
@@ -395,7 +443,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
   {
     CacheOutcome outcome = CacheOutcome::kNone;
     double h0 = options.strategy == SearchStrategy::kAStar
-                    ? estimate(input, &outcome)
+                    ? estimate(input, input_hash, &outcome)
                     : 0;
     if (cancel != nullptr && cancel->IsCancelled()) {
       // The very first estimate outran the deadline. Report the stop
@@ -482,13 +530,18 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       return;
     }
 
+    // One hash per child: the state set and the memo both use it, and in
+    // the parallel engine it is computed on the worker.
+    if (!is_goal && (options.deduplicate_states || cache != nullptr)) {
+      out.hash = child.Hash();
+    }
     if (compute_h && !is_goal &&
         options.strategy == SearchStrategy::kAStar) {
       // Parallel engine: estimate before deduplication (the memo makes
       // the duplicate case cheap). The estimate is a pure function of
       // the child, so evaluating it for a child the serial replay later
       // drops as a duplicate cannot change any outcome.
-      out.h = estimate(child, &out.cache_outcome);
+      out.h = estimate(child, out.hash, &out.cache_outcome);
       // Interrupted mid-DP: out.h is garbage. Leave the slot incomplete.
       if (cancel != nullptr && cancel->IsCancelled()) return;
       out.has_h = true;
@@ -529,7 +582,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
 
     int child_index = static_cast<int>(arena.size());
     if (!out.is_goal && options.deduplicate_states &&
-        !seen.Insert(out.child, child_index)) {
+        !seen.Insert(out.child, out.hash, child_index)) {
       ++result.stats.duplicates_skipped;
       if (options.observer != nullptr) {
         options.observer->OnDuplicate(current, candidate);
@@ -571,7 +624,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       } else {
         // Serial engine: estimate after deduplication, exactly as the
         // legacy single-threaded loop did.
-        h = estimate(arena[child_index].table, &out.cache_outcome);
+        h = estimate(arena[child_index].table, out.hash, &out.cache_outcome);
         if (cancel != nullptr && cancel->IsCancelled()) {
           // The estimate is garbage. Keep the child off the frontier
           // (it already sits in the arena/seen-set, which is harmless)

@@ -136,7 +136,12 @@ struct SearchOptions {
   /// tables reached via different paths — and every re-expansion when
   /// deduplicate_states is false — then skip the TED dynamic program
   /// entirely. Estimates are pure functions of the key, so caching never
-  /// changes results; hit/miss counts land in SearchStats.
+  /// changes results; hit/miss counts land in SearchStats. A memo is kept
+  /// only where it can hit: the caller's shared heuristic_cache, or a
+  /// private one in the parallel engine (which estimates before
+  /// deduplication) and when deduplicate_states is false. A serial
+  /// deduplicating search estimates each distinct state once, so without
+  /// a shared cache it keeps none.
   bool cache_heuristic = true;
 
   /// Entry bound for the internally created heuristic cache (ignored when
@@ -146,8 +151,9 @@ struct SearchOptions {
   /// Optional externally owned cache shared across searches (the §5.2
   /// driver reuses one across its interaction rounds; goal hashes keep
   /// different goals from colliding). Not owned, must outlive the search.
-  /// When null and cache_heuristic is true, the search creates a private
-  /// cache for its own duration.
+  /// Used whenever cache_heuristic is true under A*, at any thread count.
+  /// When null, the parallel engine and a search without deduplication
+  /// create a private cache for their own duration.
   HeuristicCache* heuristic_cache = nullptr;
 
   /// Optional learned candidate guide (see search/guide.h and
@@ -192,7 +198,11 @@ struct SearchStats {
   uint64_t oversize_skipped = 0;
   uint64_t apply_failures = 0;  ///< Candidates with out-of-domain params.
   std::array<uint64_t, kNumPruneReasons> pruned_by_reason{};
-  /// Heuristic memoization counters (0/0 when the cache is disabled).
+  /// Heuristic memoization counters (0/0 when cache_heuristic is off or
+  /// the strategy is BFS). hits + misses is the number of estimates the
+  /// search requested: a search that keeps no memo (serial and
+  /// deduplicating, with no caller's cache) counts every estimate it
+  /// computes as a miss.
   /// These are the only counters that may differ between thread counts:
   /// the parallel engine evaluates heuristics before deduplication, the
   /// serial engine after, so the hit/miss split can shift while every

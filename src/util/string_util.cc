@@ -2,23 +2,6 @@
 
 namespace foofah {
 
-bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
-
-bool IsAsciiAlpha(char c) {
-  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
-}
-
-bool IsAsciiAlnum(char c) { return IsAsciiDigit(c) || IsAsciiAlpha(c); }
-
-bool IsAsciiSpace(char c) {
-  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
-         c == '\v';
-}
-
-bool IsPrintableSymbol(char c) {
-  return c > ' ' && c < 0x7f && !IsAsciiAlnum(c);
-}
-
 bool AllDigits(std::string_view s) {
   if (s.empty()) return false;
   for (char c : s) {
@@ -111,15 +94,6 @@ std::set<char> SymbolChars(std::string_view s) {
     if (IsPrintableSymbol(c)) out.insert(c);
   }
   return out;
-}
-
-uint64_t Fnv1aHash(std::string_view data, uint64_t seed) {
-  uint64_t hash = seed;
-  for (char c : data) {
-    hash ^= static_cast<unsigned char>(c);
-    hash *= 1099511628211ULL;
-  }
-  return hash;
 }
 
 }  // namespace foofah

@@ -12,13 +12,21 @@ namespace foofah {
 /// Character-class helpers used by the pruning rules (§4.3) and parameter
 /// enumeration. We deliberately use locale-independent ASCII definitions:
 /// the paper's rules are phrased over "a-z, A-Z, 0-9" and "printable
-/// non-alphanumeric symbols".
-bool IsAsciiAlnum(char c);
-bool IsAsciiDigit(char c);
-bool IsAsciiAlpha(char c);
-bool IsAsciiSpace(char c);
+/// non-alphanumeric symbols". They are inline because the search's
+/// per-child scans call them once per character.
+inline bool IsAsciiDigit(char c) { return c >= '0' && c <= '9'; }
+inline bool IsAsciiAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+inline bool IsAsciiAlnum(char c) { return IsAsciiDigit(c) || IsAsciiAlpha(c); }
+inline bool IsAsciiSpace(char c) {
+  return c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' ||
+         c == '\v';
+}
 /// Printable, non-alphanumeric, non-space characters (candidate delimiters).
-bool IsPrintableSymbol(char c);
+inline bool IsPrintableSymbol(char c) {
+  return c > ' ' && c < 0x7f && !IsAsciiAlnum(c);
+}
 
 /// True when every character of `s` is an ASCII digit (and `s` nonempty).
 bool AllDigits(std::string_view s);
@@ -55,7 +63,15 @@ std::set<char> AlnumChars(std::string_view s);
 std::set<char> SymbolChars(std::string_view s);
 
 /// 64-bit FNV-1a, used to hash tables for search-state deduplication.
-uint64_t Fnv1aHash(std::string_view data, uint64_t seed = 14695981039346656037ULL);
+inline uint64_t Fnv1aHash(std::string_view data,
+                          uint64_t seed = 14695981039346656037ULL) {
+  uint64_t hash = seed;
+  for (char c : data) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 1099511628211ULL;
+  }
+  return hash;
+}
 
 }  // namespace foofah
 

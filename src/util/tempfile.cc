@@ -68,29 +68,46 @@ Status RemoveTree(const std::string& path) { return RemoveTreeImpl(path); }
 
 Result<ScopedTempDir> ScopedTempDir::CreateIn(const std::string& parent,
                                               const std::string& prefix) {
-  const std::string base =
-      (parent.empty() ? std::string(".") : parent) + "/" + prefix +
-      std::to_string(static_cast<long long>(::getpid())) + "-";
+  // A reaper removes any `<prefix>*` directory whose lock it can take, so
+  // the directory is built and locked under a staging name no such reaper
+  // matches (one more leading '.'), then renamed into place: it never
+  // appears under the prefix without its lock held.
+  const std::string dir = parent.empty() ? std::string(".") : parent;
+  const std::string stem =
+      prefix + std::to_string(static_cast<long long>(::getpid())) + "-";
   for (int attempt = 0; attempt < 64; ++attempt) {
-    std::string path =
-        base + std::to_string(g_temp_dir_seq.fetch_add(1,
-                                                       std::memory_order_relaxed));
-    if (::mkdir(path.c_str(), 0700) != 0) {
-      if (errno == EEXIST) continue;  // stale dir from a previous crash
-      return Status::Unavailable("cannot create temp dir: " + path + ": " +
+    const std::string name =
+        stem + std::to_string(g_temp_dir_seq.fetch_add(
+                   1, std::memory_order_relaxed));
+    std::string path = dir + "/" + name;
+    const std::string staging = dir + "/." + name;
+    if (::mkdir(staging.c_str(), 0700) != 0) {
+      if (errno == EEXIST) continue;  // left by a crash inside CreateIn
+      return Status::Unavailable("cannot create temp dir: " + staging + ": " +
                                  std::strerror(errno));
     }
-    std::string lock_path = path + "/" + kLockFileName;
+    std::string lock_path = staging + "/" + kLockFileName;
     int fd = ::open(lock_path.c_str(), O_CREAT | O_RDWR | O_CLOEXEC, 0600);
     if (fd < 0) {
       Status failed = Status::Unavailable("cannot create temp dir lock: " +
                                           lock_path + ": " +
                                           std::strerror(errno));
-      ::rmdir(path.c_str());
+      ::rmdir(staging.c_str());
       return failed;
     }
     // Freshly created directory: the exclusive lock cannot be contended.
     ::flock(fd, LOCK_EX | LOCK_NB);
+    // rename() replaces an empty directory, which cannot be a live one (a
+    // live one holds its lock file), and fails on a non-empty one.
+    if (std::rename(staging.c_str(), path.c_str()) != 0) {
+      const int error = errno;
+      ::close(fd);
+      RemoveTreeImpl(staging);
+      // Taken: a stale dir from a previous crash.
+      if (error == EEXIST || error == ENOTEMPTY || error == ENOTDIR) continue;
+      return Status::Unavailable("cannot create temp dir: " + path + ": " +
+                                 std::strerror(error));
+    }
     return ScopedTempDir(std::move(path), fd);
   }
   return Status::Unavailable("cannot create temp dir under " + parent +
@@ -158,8 +175,9 @@ size_t ReapOrphanedTempDirs(const std::string& parent,
     } else if (errno != ENOENT) {
       continue;
     }
-    // No lock file at all means the owner crashed between mkdir and
-    // open — also an orphan.
+    // No lock file at all means the directory was made by hand or by a
+    // crashed run of an older protocol: CreateIn renames a directory into
+    // the prefix only with its lock held. Also an orphan.
     if (RemoveTreeImpl(path).ok()) ++removed;
   }
   return removed;

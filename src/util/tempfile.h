@@ -17,7 +17,12 @@ namespace foofah {
 /// A reaper that can acquire the lock (LOCK_EX | LOCK_NB) has proven
 /// the owning process is gone — the kernel releases flocks on process
 /// death, including SIGKILL — so removal is race-free against live
-/// runs without trusting mtimes or pid liveness alone.
+/// runs without trusting mtimes or pid liveness alone. A directory is
+/// built and locked under a staging name (`.<prefix><pid>-<seq>`) that
+/// no reaper of the prefix matches, and renamed to its final name only
+/// then, so a reaper never sees a live directory before its lock is
+/// held. A crash inside CreateIn itself can leave the staging
+/// directory, holding at most its lock file, which no reaper removes.
 
 /// Default name prefix for executor temp directories:
 /// `<prefix><pid>-<seq>`. Exposed so tests can fabricate stale dirs.
@@ -33,8 +38,11 @@ Status RemoveTree(const std::string& path);
 /// `<dir>/.lock` for its lifetime; see the ownership protocol above.
 class ScopedTempDir {
  public:
-  /// Creates `<parent>/<prefix><pid>-<seq>/` plus its lock file. The
-  /// parent directory must exist. Failures are typed kUnavailable.
+  /// Creates `<parent>/<prefix><pid>-<seq>/` plus its lock file, held
+  /// before the directory appears under that name. The parent directory
+  /// must exist, and `prefix` must hold a character other than '.', so
+  /// that the staging name cannot start with it. Failures are typed
+  /// kUnavailable.
   static Result<ScopedTempDir> CreateIn(const std::string& parent,
                                         const std::string& prefix =
                                             kTempDirPrefix);

@@ -10,13 +10,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <string>
 #include <dirent.h>
+#include <fcntl.h>
+#include <sys/file.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
+#include <thread>
 #include <vector>
 
 #include "exec/runner.h"
@@ -229,6 +234,45 @@ TEST(TempDirTest, ReapRemovesStaleDirsAndKeepsLiveOnes) {
   EXPECT_EQ(names.count(std::string(kTempDirPrefix) + "99999-0"), 0u);
   EXPECT_EQ(names.count(std::string(kTempDirPrefix) + "99999-1"), 0u);
   EXPECT_EQ(names.size(), 2u);  // live + unrelated.
+  RemoveTree(parent);
+}
+
+TEST(TempDirTest, ConcurrentReaperNeverRemovesALiveDir) {
+  // A reaper spinning beside CreateIn must never find a new directory
+  // under the prefix before its lock is held: every created directory
+  // survives, and its lock stays taken.
+  std::string parent = MakeFreshDir("tempdir_race");
+  std::atomic<bool> stop{false};
+  std::thread reaper([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      ReapOrphanedTempDirs(parent);
+    }
+  });
+  auto expect_live = [](const std::string& path) {
+    const std::string lock_path = path + "/.lock";
+    const int fd = ::open(lock_path.c_str(), O_RDWR | O_CLOEXEC);
+    EXPECT_GE(fd, 0) << path << " lost its lock file";
+    if (fd < 0) return;
+    EXPECT_NE(::flock(fd, LOCK_EX | LOCK_NB), 0) << path << " is unlocked";
+    ::close(fd);
+  };
+  int failures = 0;
+  for (int round = 0; round < 40 && failures == 0; ++round) {
+    std::vector<ScopedTempDir> live;
+    for (int i = 0; i < 50; ++i) {
+      Result<ScopedTempDir> dir = ScopedTempDir::CreateIn(parent);
+      if (!dir.ok()) {
+        ADD_FAILURE() << dir.status().ToString();
+        ++failures;
+        break;
+      }
+      live.push_back(std::move(dir).value());
+    }
+    for (const ScopedTempDir& dir : live) expect_live(dir.path());
+    if (::testing::Test::HasFailure()) ++failures;
+  }
+  stop.store(true, std::memory_order_relaxed);
+  reaper.join();
   RemoveTree(parent);
 }
 

@@ -23,6 +23,7 @@
 
 #include "core/driver.h"
 #include "exec/runner.h"
+#include "heuristic/heuristic_cache.h"
 #include "ops/operation.h"
 #include "ops/operators.h"
 #include "scenarios/corpus.h"
@@ -202,8 +203,12 @@ TEST_F(FaultInjectionTest, DroppedCacheInsertsDoNotChangeTheSearchOutcome) {
   FaultInjector::Instance().Reset();
   FaultInjector::Instance().ArmFailureAlways(
       fault_points::kHeuristicCacheInsert);
+  // A caller-owned memo is used at any thread count, so the insert point
+  // is reached however many cores the host has.
+  HeuristicCache cache;
   SearchOptions options;
   options.timeout_ms = 10'000;
+  options.heuristic_cache = &cache;
   SearchResult degraded = SynthesizeProgram(workload.example.input,
                                             workload.example.output, options);
   EXPECT_GT(FaultInjector::Instance().HitCount(

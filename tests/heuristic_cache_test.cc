@@ -6,6 +6,11 @@
 #include <thread>
 #include <vector>
 
+#include "scenarios/corpus.h"
+#include "search/search.h"
+#include "search/trace.h"
+#include "testing/search_outcome.h"
+
 namespace foofah {
 namespace {
 
@@ -138,6 +143,107 @@ TEST(HeuristicCacheTest, ConcurrentMixedUseIsSafeAndExact) {
   EXPECT_EQ(mismatches.load(), 0u);
   HeuristicCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kKeysPerThread);
+}
+
+// --- When a search keeps a memo --------------------------------------------
+
+// Counts the estimates a search requests: the input's, then one for each
+// kept child that is not a goal.
+class EstimateCounter : public SearchObserver {
+ public:
+  void OnGenerate(int, int, const Operation&, double, bool is_goal) override {
+    if (!is_goal) ++estimates;
+  }
+  uint64_t estimates = 1;
+};
+
+// The paper's motivating example (Figure 1), solved by a four-step program.
+const Table& MotivatingInput() {
+  static const Table* table = new Table{{"Bureau of I.A."},
+                                        {"Regional Director Numbers"},
+                                        {"Niles C.", "Tel:(800)645-8397"},
+                                        {"", "Fax:(907)586-7252"},
+                                        {""},
+                                        {"Jean H.", "Tel:(918)781-4600"},
+                                        {"", "Fax:(918)781-4604"}};
+  return *table;
+}
+const Table& MotivatingGoal() {
+  static const Table* table =
+      new Table{{"", "Tel", "Fax"},
+                {"Niles C.", "(800)645-8397", "(907)586-7252"},
+                {"Jean H.", "(918)781-4600", "(918)781-4604"}};
+  return *table;
+}
+
+SearchOptions SerialOptions() {
+  SearchOptions options;
+  options.num_threads = 1;
+  options.timeout_ms = 0;
+  return options;
+}
+
+TEST(SearchMemoTest, SerialSearchFillsACallerOwnedCache) {
+  HeuristicCache cache;
+  SearchOptions options = SerialOptions();
+  options.heuristic_cache = &cache;
+  const SearchResult first =
+      SynthesizeProgram(MotivatingInput(), MotivatingGoal(), options);
+  ASSERT_TRUE(first.found);
+  EXPECT_EQ(first.stats.heuristic_cache_hits, 0u);
+  EXPECT_GT(first.stats.heuristic_cache_misses, 0u);
+  EXPECT_EQ(cache.stats().entries, first.stats.heuristic_cache_misses);
+
+  // The same search again: every estimate comes from the memo.
+  const SearchResult second =
+      SynthesizeProgram(MotivatingInput(), MotivatingGoal(), options);
+  testing::ExpectIdenticalOutcome(first, second, "second search");
+  EXPECT_EQ(second.stats.heuristic_cache_hits,
+            first.stats.heuristic_cache_misses);
+  EXPECT_EQ(second.stats.heuristic_cache_misses, 0u);
+}
+
+TEST(SearchMemoTest, SerialSearchWithoutASharedCacheCountsEstimatesAsMisses) {
+  // A serial deduplicating search estimates each distinct state once, so
+  // it keeps no memo; every estimate it computes counts as a miss.
+  EstimateCounter counter;
+  SearchOptions options = SerialOptions();
+  options.observer = &counter;
+  const SearchResult result =
+      SynthesizeProgram(MotivatingInput(), MotivatingGoal(), options);
+  ASSERT_TRUE(result.found);
+  EXPECT_EQ(result.stats.heuristic_cache_hits, 0u);
+  EXPECT_EQ(result.stats.heuristic_cache_misses, counter.estimates);
+}
+
+TEST(SearchMemoTest, PrivateMemoStaysWhereItCanHit) {
+  // Without deduplication a re-visited state is estimated again, and the
+  // parallel engine estimates duplicates before dropping them: both keep
+  // a private memo, and it hits.
+  SearchOptions tree = SerialOptions();
+  tree.deduplicate_states = false;
+  tree.max_generated = 20'000;
+  const SearchResult tree_result =
+      SynthesizeProgram(MotivatingInput(), MotivatingGoal(), tree);
+  ASSERT_TRUE(tree_result.found);
+  EXPECT_GT(tree_result.stats.heuristic_cache_hits, 0u);
+
+  // A duplicate of a state estimated in an earlier expansion hits at any
+  // thread interleaving; this scenario has such duplicates.
+  const Scenario* scenario = nullptr;
+  for (const Scenario& s : Corpus()) {
+    if (s.name() == "wrangler_dept_salaries") scenario = &s;
+  }
+  ASSERT_NE(scenario, nullptr);
+  Result<ExamplePair> example = scenario->MakeExample(2);
+  ASSERT_TRUE(example.ok());
+  const SearchResult parallel = SynthesizeProgram(
+      example->input, example->output, testing::DeterministicOptions(4));
+  testing::ExpectIdenticalOutcome(
+      SynthesizeProgram(example->input, example->output,
+                        testing::DeterministicOptions(1)),
+      parallel, scenario->name());
+  EXPECT_GT(parallel.stats.heuristic_cache_hits, 0u);
 }
 
 }  // namespace

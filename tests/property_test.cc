@@ -534,6 +534,60 @@ TEST(TedOracleTest, HandBuiltPathsMatchOracle) {
   for (const auto& [name, path] : cases) ExpectSameBatching(path, name);
 }
 
+TEST(TedOracleTest, OrderedAndShuffledPathsMatchOracle) {
+  // GreedyTed lists each type group in cover order, which the batching
+  // scans as it stands; the same ops shuffled, with a few repeated, take
+  // its sorting branch. Both must batch like the oracle. The goals reuse
+  // the state's cells, so every path is feasible: a transpose and a
+  // dropped column give long chains, cells picked at random give few.
+  int paths = 0;
+  for (int seed = 0; seed < 30; ++seed) {
+    Lcg rng(static_cast<uint64_t>(seed) * 104729 + 17);
+    const Table state = seed % 2 == 0 ? testing::RandomTable(&rng)
+                                      : testing::RandomRaggedTable(&rng);
+    std::vector<Table> goals;
+    for (const Operation& operation : {Transpose(), Drop(0)}) {
+      Result<Table> goal = ApplyOperation(state, operation);
+      if (goal.ok()) goals.push_back(std::move(goal).value());
+    }
+    Table picked;
+    const uint32_t rows = 1 + rng.Next(4), cols = 1 + rng.Next(4);
+    for (uint32_t r = 0; r < rows; ++r) {
+      Table::Row row;
+      for (uint32_t c = 0; c < cols; ++c) {
+        row.push_back(state.cell(rng.Next(static_cast<uint32_t>(
+                                     std::max<size_t>(1, state.num_rows()))),
+                                 rng.Next(static_cast<uint32_t>(std::max<size_t>(
+                                     1, state.num_cols())))));
+      }
+      picked.AppendRow(std::move(row));
+    }
+    goals.push_back(std::move(picked));
+
+    for (size_t g = 0; g < goals.size(); ++g) {
+      const TedResult ted = GreedyTed(state, goals[g]);
+      if (ted.cost == kInfiniteCost) continue;
+      const std::string what =
+          "seed " + std::to_string(seed) + " goal " + std::to_string(g);
+      ++paths;
+      ExpectSameBatching(ted.path, what + " in GreedyTed order");
+
+      EditPath shuffled = ted.path;
+      for (size_t i = shuffled.size(); i > 1; --i) {
+        std::swap(shuffled[i - 1],
+                  shuffled[rng.Next(static_cast<uint32_t>(i))]);
+      }
+      ExpectSameBatching(shuffled, what + " shuffled");
+      const size_t size = shuffled.size();
+      for (int k = 0; k < 3; ++k) {
+        shuffled.push_back(shuffled[rng.Next(static_cast<uint32_t>(size))]);
+      }
+      ExpectSameBatching(shuffled, what + " shuffled with repeats");
+    }
+  }
+  EXPECT_GE(paths, 60);
+}
+
 TEST(TedOracleTest, CoordinateIndexDoesNotScaleWithCoordinateRange) {
   // Eight ops spread over the whole int range. An index sized by the
   // range would need gigabytes; one sized by the path needs bytes.
