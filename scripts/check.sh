@@ -55,7 +55,9 @@
 # then the CLI pushing a ~54 MB input through a Transpose-suffixed
 # program under a 256 MB address-space cap with a 16 MB memory budget —
 # it must succeed by spilling, stay under the budget, and match the
-# unbudgeted output byte-for-byte — and finally a fault-injection run
+# unbudgeted output byte-for-byte — then the CLI unfolding 50 KB into
+# ~9 MB under the same cap and budget, which must match the unbudgeted
+# output too — and finally a fault-injection run
 # (exec/spill_write armed) that must fail typed while leaving no output
 # file and no temp/spill directories behind.
 #
@@ -141,8 +143,9 @@ else
   cmake -B build-asan -S . -DFOOFAH_ASAN=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build build-asan -j "${JOBS}" \
-    --target table_test table_diff_test operators_test operators_edge_test \
-    extension_ops_test table_cow_diff_test synthesis_fuzz_test \
+    --target table_test table_diff_test operators_test operators_oracle_test \
+    operators_edge_test extension_ops_test table_cow_diff_test \
+    synthesis_fuzz_test \
     cancellation_test service_soak_test \
     arena_test csv_test csv_stream_test exec_test exec_diff_test \
     exec_spill_test fuzz_generator_test fuzz_oracle_test generated_corpus_test \
@@ -418,7 +421,29 @@ EOF
   echo "spill gate: 54 MB transposed under a 16 MB budget" \
        "(spill_runs=${spill_runs}, peak_tracked=${peak})"
 
-  # Leg 3: injected spill-write failure through the fault-injection
+  # Leg 3: a blocking step whose output dwarfs its input. Unfold over
+  # 3,000 rows with a distinct key and header per row turns 50 KB into
+  # ~9 MB (3,001 rows of 3,001 cells); a step that built its whole
+  # output before the first budget check overshot the 16 MB budget
+  # (~280 MB RSS) and then failed.
+  awk 'BEGIN { for (i = 0; i < 3000; ++i) printf "k%d,h%d,v%d\n", i, i, i }' \
+    > "${SPILL_TMP}/unfold.csv"
+  printf 't = unfold(t, 1, 2)\n' > "${SPILL_TMP}/unfold.txt"
+  ./build/examples/foofah_apply "${SPILL_TMP}/unfold.txt" \
+    "${SPILL_TMP}/unfold.csv" "${SPILL_TMP}/unfold_ref.csv" --quiet
+  (
+    ulimit -v 262144
+    ./build/examples/foofah_apply "${SPILL_TMP}/unfold.txt" \
+      "${SPILL_TMP}/unfold.csv" "${SPILL_TMP}/unfold_out.csv" \
+      --memory-budget 16M --quiet
+  )
+  if ! cmp -s "${SPILL_TMP}/unfold_ref.csv" "${SPILL_TMP}/unfold_out.csv"; then
+    echo "spill gate: budgeted unfold output differs from unbudgeted run" >&2
+    exit 1
+  fi
+  echo "spill gate: 3,000-row unfold (~9 MB out) under a 16 MB budget"
+
+  # Leg 4: injected spill-write failure through the fault-injection
   # build — typed failure, no output file, no temp/spill dirs left.
   cmake -B build-fault -S . -DFOOFAH_ASAN=ON -DFOOFAH_FAULT_INJECTION=ON \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null

@@ -3,47 +3,33 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <string_view>
-#include <vector>
 
 #include "exec/plan.h"
 #include "ops/operation.h"
-#include "table/table.h"
+#include "ops/row_io.h"
+#include "ops/row_kernels.h"
+#include "table/csv_stream.h"
 #include "util/status.h"
 
 namespace foofah {
 namespace exec {
 
-/// Push-model row consumer, the unit the plan compiler chains into a
-/// pipeline. `cells[0 .. num_cells)` are the STORED cells of one record
-/// — the same stored lengths the Table executor would keep, because
-/// ToCsv writes exactly the stored cells and ragged rows must stay
-/// ragged for byte-identical output. Cell views are only guaranteed
-/// valid for the duration of the Push call; a sink that retains rows
-/// across calls must copy (see FoldKernel's header, WrapEveryKernel's
-/// window, MaterializeSink).
-class RowSink {
- public:
-  virtual ~RowSink() = default;
-
-  virtual Status Push(const std::string_view* cells, size_t num_cells) = 0;
-
-  /// End of input: flush any buffered window downstream, then cascade
-  /// Finish to the next sink. Called exactly once, after the last Push.
-  virtual Status Finish() = 0;
-};
+/// The push-model row consumer the plan compiler chains into a
+/// pipeline: the operators' own sink interface (ops/row_io.h).
+using RowSink = foofah::RowSink;
 
 /// Builds the kernel implementing streaming/windowed `op` over inputs
 /// of shape `in`, pushing transformed rows into `next` (not owned;
-/// must outlive the kernel). `op` must already be validated against
-/// `in` (ValidateOperation) — kernels assume in-domain parameters, the
-/// same contract the Table operators' Apply* helpers have. Extract
-/// fetches its pattern from the shared compiled-regex cache (a hit:
-/// validation compiled it). Fails for blocking operators, which the
-/// plan never routes here.
-Result<std::unique_ptr<RowSink>> MakeKernel(const Operation& op,
-                                            const Shape& in, RowSink* next);
+/// must outlive the kernel). The kernel is the operator's one
+/// definition (ops/row_kernels.h), the same code ApplyOperation runs.
+/// `op` must already be validated against `in` (ValidateOperation).
+/// Fails for blocking operators, which the plan never routes here.
+inline Result<std::unique_ptr<RowSink>> MakeKernel(const Operation& op,
+                                                   const Shape& in,
+                                                   RowSink* next) {
+  return MakeRowKernel(op, static_cast<size_t>(in.cols), next);
+}
 
 /// Terminal sink recording the observed output shape (row count and
 /// max stored width) — the measuring pass behind width-dynamic
@@ -64,22 +50,32 @@ class MeasureSink : public RowSink {
   Shape shape_;
 };
 
-/// Terminal sink materializing rows into a Table with exact stored
-/// widths, for the blocking suffix. Tracks an approximate resident byte
-/// count so the runner can charge it against the memory budget.
-class MaterializeSink : public RowSink {
+/// Terminal sink writing rows to the output CSV, whole (Push) or cell by
+/// cell (AppendCell/EndRow: the writer may flush mid-row, so a row of
+/// any width stays O(buffer)). Counts the rows written.
+class CsvSink : public RowSink {
  public:
-  Status Push(const std::string_view* cells, size_t num_cells) override;
+  explicit CsvSink(CsvChunkWriter* writer) : writer_(writer) {}
+
+  Status Push(const std::string_view* cells, size_t num_cells) override {
+    ++rows_;
+    return writer_->WriteRow(cells, num_cells);
+  }
+  Status AppendCell(std::string_view cell) override {
+    return writer_->WriteCell(cell);
+  }
+  Status EndRow() override {
+    ++rows_;
+    return writer_->EndRow();
+  }
   Status Finish() override { return Status(); }
+  uint64_t bytes_buffered() const override { return writer_->buffered_bytes(); }
 
-  /// Approximate heap bytes held by the materialized rows.
-  uint64_t bytes_buffered() const { return bytes_; }
-
-  Table Take() { return std::move(table_); }
+  uint64_t rows() const { return rows_; }
 
  private:
-  Table table_;
-  uint64_t bytes_ = 0;
+  CsvChunkWriter* writer_;
+  uint64_t rows_ = 0;
 };
 
 }  // namespace exec

@@ -29,7 +29,7 @@ std::optional<Shape> PropagateShape(const Operation& op, const Shape& in) {
       // columns, appending Merge's glued cell).
       return Rectangular(in.rows, in.cols - 1);
     case OpCode::kMove:
-      // FullRow pads each row to W before rearranging.
+      // Move pads each row to W before rearranging.
       return Rectangular(in.rows, in.cols);
     case OpCode::kCopy:
     case OpCode::kSplit:

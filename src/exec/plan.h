@@ -19,6 +19,8 @@ namespace exec {
 /// of the input relation — never its contents — into a pipeline of
 /// row kernels (kernels.h) covering the longest streamable prefix,
 /// optionally followed by a materialized suffix for blocking operators.
+/// Kernels and the suffix run the operators' own definitions
+/// (ops/operators.h), the code Program::Execute runs.
 ///
 /// Byte-identity contract: the executor's output must equal
 /// ToCsv(Program::Execute(ParseCsv(bytes))) byte for byte. Because
@@ -50,17 +52,16 @@ struct Shape {
 /// resolved by a measuring pass over the real input instead.
 ///
 /// `op` must already be valid for `in` (ValidateOperation). The
-/// transition table mirrors the kernels' padding behavior, which in
-/// turn mirrors the Table operators' stored-row widths; the
-/// differential tests enforce that all three agree.
+/// transition table mirrors the kernels' padding behavior (the
+/// operators' stored-row widths); the differential tests enforce that
+/// the two agree.
 std::optional<Shape> PropagateShape(const Operation& op, const Shape& in);
 
 /// Length of the maximal program prefix executable as a streaming
 /// pipeline: every operation up to (excluding) the first one whose
 /// StreamabilityOf is kBlocking. Operations at and after that index run
-/// on a materialized Table via ApplyOperation — the blocking operator
-/// needs the whole relation resident anyway, and reusing the Table
-/// executor for the suffix makes divergence structurally impossible.
+/// over the materialized relation (exec/spill.h): the blocking operator
+/// must see every row before it can emit, and may scan them again.
 size_t StreamingPrefixLength(const Program& program);
 
 /// One resolved streaming step.

@@ -19,24 +19,6 @@ namespace exec {
 
 namespace {
 
-// Terminal sink of the pure-streaming final pass.
-class CsvWriteSink : public RowSink {
- public:
-  explicit CsvWriteSink(CsvChunkWriter* writer) : writer_(writer) {}
-
-  Status Push(const std::string_view* cells, size_t num_cells) override {
-    ++rows_;
-    return writer_->WriteRow(cells, num_cells);
-  }
-  Status Finish() override { return Status(); }
-
-  uint64_t rows() const { return rows_; }
-
- private:
-  CsvChunkWriter* writer_;
-  uint64_t rows_ = 0;
-};
-
 // Builds the kernel chain for steps [0, count), ending at `terminal`.
 // Kernels are constructed back to front; `*head` receives the entry
 // sink (== terminal when count is 0, i.e. an empty program prefix).
@@ -201,7 +183,7 @@ Result<ApplyStats> ApplyImpl(const Program& program,
   ++pass;
   if (prefix == program.size()) {
     // Pure streaming: kernels feed the writer directly.
-    CsvWriteSink out_sink(writer);
+    CsvSink out_sink(writer);
     RowSink* head = nullptr;
     Result<std::vector<std::unique_ptr<RowSink>>> chain =
         BuildChain(steps, steps.size(), &out_sink, &head);
@@ -217,11 +199,11 @@ Result<ApplyStats> ApplyImpl(const Program& program,
   } else {
     // Blocking suffix: materialize the prefix output under the memory
     // budget — into a Table while it fits the spill threshold, onto an
-    // on-disk run past it — then execute the remaining operations
-    // spill-aware (exec/spill.h). The in-memory path reuses
-    // ApplyOperation so semantic divergence is impossible; the
-    // spill-backed operators mirror it cell for cell and the
-    // differential suite proves the identity at thresholds down to 0.
+    // on-disk run past it — then run the remaining operations over that
+    // relation (exec/spill.h). Every step runs the operator's one
+    // definition, the code Program::Execute runs, and writes into a
+    // builder that spills in turn, so memory stays bounded in every
+    // step, not just the materialization.
     SpillableRelationBuilder materialize(&spill_ctx);
     RowSink* head = nullptr;
     Result<std::vector<std::unique_ptr<RowSink>>> chain =

@@ -28,11 +28,12 @@ namespace exec {
 ///   3. the final pass, streaming rows through the fused kernel chain
 ///      into the writer — or, when the program contains a blocking
 ///      operator (Unfold, Transpose, Wrap*, SplitAll), into a
-///      materialized Table on which the remaining operations run via
-///      ApplyOperation under the memory budget — spilling to an
-///      on-disk run file (exec/spill.h) when the materialization would
-///      breach the spill threshold, so blocking suffixes degrade
-///      in-memory → spill → typed failure instead of OOMing.
+///      materialized relation over which the remaining operations run
+///      under the memory budget. The relation, and each step's output,
+///      stays in memory while it fits the spill threshold and moves to
+///      an on-disk run file (exec/spill.h) past it, so blocking
+///      suffixes degrade in-memory → spill → typed failure instead of
+///      OOMing.
 ///
 /// The file variant is crash-safe: output is written to a temp file in
 /// a per-run temp directory next to the output path, fsynced, and
@@ -112,7 +113,7 @@ struct ApplyStats {
   uint64_t bytes_out = 0;  ///< Output bytes written.
   int passes = 0;          ///< Total passes over the input.
   size_t streaming_steps = 0;  ///< Operations run as streaming kernels.
-  size_t blocking_steps = 0;   ///< Operations run on a materialized Table.
+  size_t blocking_steps = 0;   ///< Operations run on the materialized relation.
   /// High-water mark of tracked resident bytes (the gauge charged
   /// against the memory budget). The bounded-memory claim check.sh
   /// stage 7 gates on compares this across input sizes.

@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include "ops/operators.h"
-#include "ops/registry.h"
 #include "util/fault_injection.h"
-#include "util/string_util.h"
 
 namespace foofah {
 namespace exec {
@@ -55,23 +52,6 @@ uint32_t Crc32(const char* data, size_t n) {
           (crc >> 8);
   }
   return crc ^ 0xFFFFFFFFu;
-}
-
-// The same padding Table::cell performs for ragged rows.
-std::string_view Padded(const std::string_view* cells, size_t n, size_t c) {
-  return c < n ? cells[c] : std::string_view();
-}
-
-// Approximate heap bytes of a materialized table: cell contents plus
-// container overhead, the same accounting SpillableRelationBuilder and
-// MaterializeSink use.
-uint64_t ApproxTableBytes(const Table& table) {
-  uint64_t bytes = 0;
-  for (const Table::Row& row : table.rows()) {
-    bytes += sizeof(Table::Row) + sizeof(void*);
-    for (const std::string& cell : row) bytes += cell.size() + sizeof(cell);
-  }
-  return bytes;
 }
 
 }  // namespace
@@ -323,16 +303,8 @@ Status SpillableRelationBuilder::AppendCell(std::string_view cell) {
     if (!appended.ok()) status_ = appended;
     return status_;
   }
-  current_row_.emplace_back(cell);
-  mem_bytes_ += cell.size() + sizeof(std::string);
-  if (ctx_->spill_enabled() && mem_bytes_ > ctx_->threshold()) {
-    Status spilled = SpillNow();
-    if (!spilled.ok()) {
-      status_ = spilled;
-      return status_;
-    }
-  }
-  return Status::OK();
+  rows_in_memory_.AppendCell(cell);
+  return SpillIfOver();
 }
 
 Status SpillableRelationBuilder::EndRow() {
@@ -345,24 +317,24 @@ Status SpillableRelationBuilder::EndRow() {
     if (!ended.ok()) status_ = ended;
     return status_;
   }
-  mem_bytes_ += sizeof(Table::Row) + sizeof(void*);
-  table_.AppendRow(std::move(current_row_));
-  current_row_.clear();
-  if (ctx_->spill_enabled() && mem_bytes_ > ctx_->threshold()) {
+  rows_in_memory_.EndRow();
+  return SpillIfOver();
+}
+
+Status SpillableRelationBuilder::SpillIfOver() {
+  if (ctx_->spill_enabled() &&
+      rows_in_memory_.bytes_buffered() > ctx_->threshold()) {
     Status spilled = SpillNow();
-    if (!spilled.ok()) {
-      status_ = spilled;
-      return status_;
-    }
+    if (!spilled.ok()) status_ = spilled;
   }
-  return Status::OK();
+  return status_;
 }
 
 Status SpillableRelationBuilder::SpillNow() {
   Result<std::unique_ptr<SpillRunWriter>> made = ctx_->NewRunWriter();
   if (!made.ok()) return made.status();
   writer_ = std::move(made).value();
-  for (const Table::Row& row : table_.rows()) {
+  for (const Table::Row& row : rows_in_memory_.table().rows()) {
     for (const std::string& cell : row) {
       Status appended = writer_->AppendCell(cell);
       if (!appended.ok()) return appended;
@@ -372,19 +344,17 @@ Status SpillableRelationBuilder::SpillNow() {
   }
   // Cells of the row still being assembled keep their order: they were
   // appended after every complete row.
-  for (const std::string& cell : current_row_) {
+  for (const std::string& cell : rows_in_memory_.open_row()) {
     Status appended = writer_->AppendCell(cell);
     if (!appended.ok()) return appended;
   }
-  table_ = Table();
-  current_row_.clear();
-  current_row_.shrink_to_fit();
-  mem_bytes_ = 0;
+  rows_in_memory_.Take();
   return Status::OK();
 }
 
 uint64_t SpillableRelationBuilder::bytes_buffered() const {
-  return writer_ != nullptr ? writer_->buffered_bytes() : mem_bytes_;
+  return writer_ != nullptr ? writer_->buffered_bytes()
+                            : rows_in_memory_.bytes_buffered();
 }
 
 Result<Relation> SpillableRelationBuilder::Take() {
@@ -401,381 +371,73 @@ Result<Relation> SpillableRelationBuilder::Take() {
     writer_.reset();
     return Relation::FromRun(std::move(run));
   }
-  return Relation::FromTable(std::move(table_));
+  return Relation::FromTable(rows_in_memory_.Take());
 }
 
 // ---------------------------------------------------------------------------
-// Spill-aware suffix execution
+// The blocking suffix
 
 namespace {
 
-// Final-stage CellSink: rows go straight to the CSV writer, assembled
-// cell by cell (the writer may flush mid-row, so streamed-Transpose
-// output rows of arbitrary width stay O(buffer)).
-class CsvCellSink : public CellSink {
+// The suffix's relation as a RowSource: a Table scanned in place, or a
+// run re-read from disk on every scan. Every 128 rows, and at the end of
+// a scan, the memory gauge is charged with the run reader's buffers plus
+// what the operator holds (which polls the token). An in-memory
+// relation was charged when it was built, as every step's output is.
+class RelationSource : public RowSource {
  public:
-  explicit CsvCellSink(CsvChunkWriter* writer) : writer_(writer) {}
+  RelationSource(Relation* relation, SpillContext* ctx)
+      : relation_(relation), ctx_(ctx) {}
 
-  Status AppendCell(std::string_view cell) override {
-    return writer_->WriteCell(cell);
+  uint64_t num_rows() const override { return relation_->shape().rows; }
+  uint64_t num_cols() const override { return relation_->shape().cols; }
+  const Table* table() const override {
+    return relation_->spilled() ? nullptr : &relation_->table();
   }
-  Status EndRow() override {
-    ++rows_;
-    return writer_->EndRow();
-  }
-  uint64_t bytes_buffered() const override {
-    return writer_->buffered_bytes();
+  uint64_t tile_budget() const override { return ctx_->tile_budget(); }
+  uint64_t scan_bytes() const override {
+    return relation_->spilled() ? relation_->run().bytes : 0;
   }
 
-  uint64_t rows() const { return rows_; }
-
- private:
-  CsvChunkWriter* writer_;
-  uint64_t rows_ = 0;
-};
-
-// Adapts kernel row output onto a CellSink (streaming/windowed suffix
-// steps over a run).
-class CellRowSink : public RowSink {
- public:
-  explicit CellRowSink(CellSink* sink) : sink_(sink) {}
-
-  Status Push(const std::string_view* cells, size_t num_cells) override {
-    for (size_t c = 0; c < num_cells; ++c) {
-      Status appended = sink_->AppendCell(cells[c]);
-      if (!appended.ok()) return appended;
-    }
-    return sink_->EndRow();
-  }
-  Status Finish() override { return Status(); }
-
- private:
-  CellSink* sink_;
-};
-
-using RowFn = std::function<Status(const std::string_view*, size_t)>;
-
-// One sequential pass over a run: every row through `on_row`, with the
-// token polled and the memory gauge updated (reader scratch plus the
-// caller's resident state) every 128 rows.
-Status ScanRun(const SpilledRun& run, SpillContext* ctx,
-               const std::function<uint64_t()>& extra_resident,
-               const RowFn& on_row) {
-  SpillRunReader reader(run.path);
-  const std::string_view* cells = nullptr;
-  size_t num_cells = 0;
-  uint64_t count = 0;
-  for (;;) {
-    Result<bool> got = reader.NextRow(&cells, &num_cells);
-    if (!got.ok()) return got.status();
-    if (!got.value()) break;
-    Status pushed = on_row(cells, num_cells);
-    if (!pushed.ok()) return pushed;
-    if ((++count & 127u) == 0) {
-      Status mem = ctx->memory()->Update(
-          reader.buffered_bytes() +
-          (extra_resident ? extra_resident() : 0));
-      if (!mem.ok()) return mem;
-    }
-  }
-  return ctx->memory()->Update(reader.buffered_bytes() +
-                               (extra_resident ? extra_resident() : 0));
-}
-
-// Transpose over a run: output row c is input column c. Columns are
-// buffered T at a time (T from the tile budget) so the pass count is
-// ceil(C / T); when even one column exceeds the budget, T degrades to a
-// zero-buffer mode that streams one column per pass straight into the
-// sink — O(1) memory, C passes.
-Status TransposeOverRun(const SpilledRun& in, SpillContext* ctx,
-                        CellSink* sink) {
-  const uint64_t num_rows = in.shape.rows;
-  const uint64_t num_cols = in.shape.cols;
-  if (num_cols == 0) return Status::OK();
-  const uint64_t tile_budget = ctx->tile_budget();
-  const uint64_t col_est =
-      in.bytes / num_cols + num_rows * 16;  // bytes + offset/slop per cell
-  if (col_est > tile_budget) {
-    for (uint64_t c = 0; c < num_cols; ++c) {
-      Status scanned = ScanRun(
-          in, ctx, [&] { return sink->bytes_buffered(); },
-          [&](const std::string_view* cells, size_t n) {
-            return sink->AppendCell(Padded(cells, n, c));
-          });
-      if (!scanned.ok()) return scanned;
-      Status ended = sink->EndRow();
-      if (!ended.ok()) return ended;
-    }
-    return Status::OK();
-  }
-  const uint64_t tile = std::min<uint64_t>(
-      num_cols,
-      std::max<uint64_t>(1, tile_budget / std::max<uint64_t>(col_est, 1)));
-  for (uint64_t c0 = 0; c0 < num_cols; c0 += tile) {
-    const size_t k = static_cast<size_t>(std::min<uint64_t>(tile, num_cols - c0));
-    // Flat per-column buffers (bytes blob + cell sizes), not
-    // vector<string>: per-cell container overhead would dwarf short
-    // cells at the scales that spill in the first place.
-    std::vector<std::string> blobs(k);
-    std::vector<std::vector<uint32_t>> sizes(k);
-    auto resident = [&] {
-      uint64_t bytes = sink->bytes_buffered();
-      for (size_t j = 0; j < k; ++j) {
-        bytes += blobs[j].capacity() + sizes[j].capacity() * sizeof(uint32_t);
-      }
-      return bytes;
+  Status Scan(RowFn on_row, FunctionRef<uint64_t()> held) override {
+    uint64_t count = 0;
+    const SpillRunReader* reader = nullptr;
+    auto charge = [&] {
+      return ctx_->memory()->Update(
+          (reader != nullptr ? reader->buffered_bytes() : 0) + held());
     };
-    Status scanned = ScanRun(
-        in, ctx, resident, [&](const std::string_view* cells, size_t n) {
-          for (size_t j = 0; j < k; ++j) {
-            std::string_view cell = Padded(cells, n, c0 + j);
-            blobs[j].append(cell.data(), cell.size());
-            sizes[j].push_back(static_cast<uint32_t>(cell.size()));
-          }
-          return Status::OK();
-        });
-    if (!scanned.ok()) return scanned;
-    for (size_t j = 0; j < k; ++j) {
-      size_t offset = 0;
-      for (uint32_t size : sizes[j]) {
-        Status appended = sink->AppendCell(
-            std::string_view(blobs[j]).substr(offset, size));
-        if (!appended.ok()) return appended;
-        offset += size;
-      }
-      Status ended = sink->EndRow();
-      if (!ended.ok()) return ended;
-    }
-  }
-  return Status::OK();
-}
-
-// Unfold over a run: single scan building the same
-// first-appearance-ordered column/group maps as ApplyUnfold
-// (ops/operators.cc) — only the group state is resident, charged to the
-// gauge; the input stays on disk.
-Status UnfoldOverRun(const Operation& op, const SpilledRun& in,
-                     SpillContext* ctx, CellSink* sink) {
-  const size_t ncols = static_cast<size_t>(in.shape.cols);
-  const size_t header_col = static_cast<size_t>(op.col1);
-  const size_t value_col = static_cast<size_t>(op.col2);
-  std::vector<size_t> key_cols;
-  for (size_t c = 0; c < ncols; ++c) {
-    if (c != header_col && c != value_col) key_cols.push_back(c);
-  }
-
-  std::vector<std::string> new_columns;
-  std::map<std::string, size_t> column_index;
-  std::vector<Table::Row> group_keys;
-  std::map<Table::Row, size_t> group_index;
-  std::vector<std::map<size_t, std::string>> group_values;
-  uint64_t state_bytes = 0;
-
-  Status scanned = ScanRun(
-      in, ctx, [&] { return state_bytes + sink->bytes_buffered(); },
-      [&](const std::string_view* cells, size_t n) {
-        // A null header value becomes a column literally named "null",
-        // mirroring ApplyUnfold's visible-breakage contract.
-        std::string_view header_cell = Padded(cells, n, header_col);
-        std::string header =
-            header_cell.empty() ? "null" : std::string(header_cell);
-        auto [cit, cinserted] =
-            column_index.try_emplace(header, new_columns.size());
-        if (cinserted) {
-          state_bytes += 2 * (header.size() + sizeof(std::string)) + 32;
-          new_columns.push_back(std::move(header));
-        }
-
-        Table::Row key;
-        key.reserve(key_cols.size());
-        for (size_t c : key_cols) key.emplace_back(Padded(cells, n, c));
-        auto [git, ginserted] = group_index.try_emplace(key, group_keys.size());
-        if (ginserted) {
-          for (const std::string& cell : key) {
-            state_bytes += 2 * (cell.size() + sizeof(std::string));
-          }
-          state_bytes += 2 * sizeof(Table::Row) + 64;
-          group_keys.push_back(key);
-          group_values.emplace_back();
-        }
-        std::string_view value = Padded(cells, n, value_col);
-        state_bytes += value.size() + sizeof(std::string) + 48;
-        group_values[git->second][cit->second] = std::string(value);
-        return Status::OK();
-      });
-  if (!scanned.ok()) return scanned;
-
-  // Header row: empty cells over the key columns, then the new names.
-  for (size_t i = 0; i < key_cols.size(); ++i) {
-    Status appended = sink->AppendCell(std::string_view());
-    if (!appended.ok()) return appended;
-  }
-  for (const std::string& name : new_columns) {
-    Status appended = sink->AppendCell(name);
-    if (!appended.ok()) return appended;
-  }
-  Status ended = sink->EndRow();
-  if (!ended.ok()) return ended;
-
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    for (const std::string& cell : group_keys[g]) {
-      Status appended = sink->AppendCell(cell);
-      if (!appended.ok()) return appended;
-    }
-    const std::map<size_t, std::string>& values = group_values[g];
-    for (size_t c = 0; c < new_columns.size(); ++c) {
-      auto it = values.find(c);
-      Status appended = sink->AppendCell(
-          it != values.end() ? std::string_view(it->second)
-                             : std::string_view());
-      if (!appended.ok()) return appended;
-    }
-    Status end_group = sink->EndRow();
-    if (!end_group.ok()) return end_group;
-  }
-  return Status::OK();
-}
-
-// WrapColumn over a run: groups by the wrap column's value in
-// first-appearance order, concatenating each group's padded rows —
-// mirror of ApplyWrapColumn with only the group state resident.
-Status WrapColumnOverRun(const Operation& op, const SpilledRun& in,
-                         SpillContext* ctx, CellSink* sink) {
-  const size_t ncols = static_cast<size_t>(in.shape.cols);
-  const size_t col = static_cast<size_t>(op.col1);
-  std::vector<std::string> keys;
-  std::map<std::string, size_t> key_index;
-  std::vector<Table::Row> groups;
-  uint64_t state_bytes = 0;
-
-  Status scanned = ScanRun(
-      in, ctx, [&] { return state_bytes + sink->bytes_buffered(); },
-      [&](const std::string_view* cells, size_t n) {
-        std::string key(Padded(cells, n, col));
-        auto [it, inserted] = key_index.try_emplace(key, keys.size());
-        if (inserted) {
-          state_bytes += 2 * (key.size() + sizeof(std::string)) + 64;
-          keys.push_back(std::move(key));
-          groups.emplace_back();
-        }
-        Table::Row& group = groups[it->second];
-        for (size_t c = 0; c < ncols; ++c) {
-          std::string_view cell = Padded(cells, n, c);
-          group.emplace_back(cell);
-          state_bytes += cell.size() + sizeof(std::string);
-        }
-        return Status::OK();
-      });
-  if (!scanned.ok()) return scanned;
-
-  for (const Table::Row& group : groups) {
-    for (const std::string& cell : group) {
-      Status appended = sink->AppendCell(cell);
-      if (!appended.ok()) return appended;
-    }
-    Status ended = sink->EndRow();
-    if (!ended.ok()) return ended;
-  }
-  return Status::OK();
-}
-
-// WrapAll over a run: every padded cell of every row into one output
-// row, streamed — the giant combined row is never resident (the sink
-// spills or flushes it incrementally).
-Status WrapAllOverRun(const SpilledRun& in, SpillContext* ctx,
-                      CellSink* sink) {
-  const size_t ncols = static_cast<size_t>(in.shape.cols);
-  if (in.shape.rows == 0 || ncols == 0) return Status::OK();
-  Status scanned = ScanRun(
-      in, ctx, [&] { return sink->bytes_buffered(); },
-      [&](const std::string_view* cells, size_t n) {
-        for (size_t c = 0; c < ncols; ++c) {
-          Status appended = sink->AppendCell(Padded(cells, n, c));
-          if (!appended.ok()) return appended;
-        }
-        return Status::OK();
-      });
-  if (!scanned.ok()) return scanned;
-  return sink->EndRow();
-}
-
-// SplitAll over a run: a measuring scan for the widest split, then a
-// mapping scan — mirror of ApplySplitAll's pad-to-widest semantics.
-Status SplitAllOverRun(const Operation& op, const SpilledRun& in,
-                       SpillContext* ctx, CellSink* sink) {
-  const size_t ncols = static_cast<size_t>(in.shape.cols);
-  const size_t col = static_cast<size_t>(op.col1);
-  const std::string& delim = op.text;
-
-  size_t parts = 1;
-  Status measured = ScanRun(
-      in, ctx, [&] { return sink->bytes_buffered(); },
-      [&](const std::string_view* cells, size_t n) {
-        parts = std::max(parts, SplitAll(Padded(cells, n, col), delim).size());
-        return Status::OK();
-      });
-  if (!measured.ok()) return measured;
-
-  return ScanRun(
-      in, ctx, [&] { return sink->bytes_buffered(); },
-      [&](const std::string_view* cells, size_t n) {
-        for (size_t c = 0; c < ncols; ++c) {
-          if (c == col) {
-            std::vector<std::string> pieces =
-                SplitAll(Padded(cells, n, col), delim);
-            pieces.resize(parts);
-            for (const std::string& piece : pieces) {
-              Status appended = sink->AppendCell(piece);
-              if (!appended.ok()) return appended;
-            }
-          } else {
-            Status appended = sink->AppendCell(Padded(cells, n, c));
-            if (!appended.ok()) return appended;
-          }
-        }
-        return sink->EndRow();
-      });
-}
-
-Status ExecuteOpOverRun(const Operation& op, const SpilledRun& in,
-                        SpillContext* ctx, CellSink* sink) {
-  switch (StreamabilityOf(op.op)) {
-    case Streamability::kStreaming:
-    case Streamability::kWindowed: {
-      // Row-local and bounded-window steps run through their ordinary
-      // kernels, scanning the run instead of the CSV.
-      CellRowSink adapter(sink);
-      Result<std::unique_ptr<RowSink>> kernel =
-          MakeKernel(op, in.shape, &adapter);
-      if (!kernel.ok()) return kernel.status();
-      RowSink* head = kernel.value().get();
-      Status scanned = ScanRun(
-          in, ctx, [&] { return sink->bytes_buffered(); },
-          [&](const std::string_view* cells, size_t n) {
-            return head->Push(cells, n);
-          });
+    auto counted = [&](const std::string_view* cells, size_t n) {
+      Status pushed = on_row(cells, n);
+      if (!pushed.ok() || (++count & 127u) != 0) return pushed;
+      return charge();
+    };
+    if (!relation_->spilled()) {
+      Status scanned = TableSource(relation_->table()).Scan(counted, held);
       if (!scanned.ok()) return scanned;
-      return head->Finish();
+      return charge();
     }
-    case Streamability::kBlocking:
-      break;
+    SpillRunReader run_reader(relation_->run().path);
+    reader = &run_reader;
+    const std::string_view* cells = nullptr;
+    size_t num_cells = 0;
+    for (;;) {
+      Result<bool> got = run_reader.NextRow(&cells, &num_cells);
+      if (!got.ok()) return got.status();
+      if (!got.value()) break;
+      Status pushed = counted(cells, num_cells);
+      if (!pushed.ok()) return pushed;
+    }
+    return charge();
   }
-  switch (op.op) {
-    case OpCode::kTranspose:
-      return TransposeOverRun(in, ctx, sink);
-    case OpCode::kUnfold:
-      return UnfoldOverRun(op, in, ctx, sink);
-    case OpCode::kWrapColumn:
-      return WrapColumnOverRun(op, in, ctx, sink);
-    case OpCode::kWrapAll:
-      return WrapAllOverRun(in, ctx, sink);
-    case OpCode::kSplitAll:
-      return SplitAllOverRun(op, in, ctx, sink);
-    default:
-      break;
-  }
-  return Status::Internal(std::string("no spill executor for operation ") +
-                          OpCodeName(op.op));
+
+ private:
+  Relation* relation_;
+  SpillContext* ctx_;
+};
+
+// Deletes the relation's run file, if it has one.
+void Discard(const Relation& relation, SpillContext* ctx) {
+  if (relation.spilled()) ctx->DiscardRun(relation.run());
 }
 
 }  // namespace
@@ -783,81 +445,47 @@ Status ExecuteOpOverRun(const Operation& op, const SpilledRun& in,
 Status ExecuteBlockingSuffix(const Program& program, size_t prefix,
                              Relation relation, SpillContext* ctx,
                              CsvChunkWriter* writer, uint64_t* rows_out) {
-  bool written = false;
+  CsvSink out(writer);
+  RelationSource source(&relation, ctx);
   for (size_t i = prefix; i < program.size(); ++i) {
     CancellationToken* token = ctx->token();
     if (token->IsCancelled()) {
       return StatusFromCancelReason(token->reason(), "apply");
     }
+    // The same validation Program::Execute performs, so an invalid
+    // program fails with the identical Status.
     const Operation& op = program.operation(i);
-    const bool last = i + 1 == program.size();
-    if (!relation.spilled()) {
-      // In-memory relation: the Table executor, exactly as before the
-      // spill path existed — semantic divergence is impossible here.
-      Result<Table> applied = ApplyOperation(relation.table(), op);
-      if (!applied.ok()) return applied.status();
-      relation = Relation::FromTable(std::move(applied).value());
-      Status mem = ctx->memory()->Update(ApproxTableBytes(relation.table()));
-      if (!mem.ok()) return mem;
-      continue;
-    }
-    // Run-backed relation: the same validation the Table executor would
-    // perform (identical Status on invalid programs), then the
-    // spill-aware operator.
-    Shape in = relation.shape();
+    const Shape in = relation.shape();
     Status valid = ValidateOperation(op, static_cast<size_t>(in.cols),
                                      static_cast<size_t>(in.rows));
     if (!valid.ok()) return valid;
-    SpilledRun consumed = relation.run();
-    if (last) {
-      CsvCellSink out(writer);
-      Status ran = ExecuteOpOverRun(op, consumed, ctx, &out);
+    if (i + 1 == program.size()) {
+      Status ran = RunOperation(op, source, out);
       if (!ran.ok()) return ran;
+      Discard(relation, ctx);
       *rows_out += out.rows();
-      written = true;
-      relation = Relation::FromTable(Table());
-    } else {
-      SpillableRelationBuilder builder(ctx);
-      Status ran = ExecuteOpOverRun(op, consumed, ctx, &builder);
-      if (!ran.ok()) return ran;
-      Result<Relation> next = builder.Take();
-      if (!next.ok()) return next.status();
-      relation = std::move(next).value();
+      return Status::OK();
     }
-    ctx->DiscardRun(consumed);
+    SpillableRelationBuilder builder(ctx);
+    Status ran = RunOperation(op, source, builder);
+    if (!ran.ok()) return ran;
+    Status mem = ctx->memory()->Update(builder.bytes_buffered());
+    if (!mem.ok()) return mem;
+    Result<Relation> next = builder.Take();
+    if (!next.ok()) return next.status();
+    Discard(relation, ctx);
+    relation = std::move(next).value();
   }
-  if (!written) {
-    if (relation.spilled()) {
-      // The suffix ended with the relation still on disk (possible only
-      // when the materialization itself spilled and the suffix is
-      // empty — which the planner never produces — or future callers):
-      // stream it out.
-      SpilledRun run = relation.run();
-      CsvCellSink out(writer);
-      Status scanned = ScanRun(
-          run, ctx, [&] { return out.bytes_buffered(); },
-          [&](const std::string_view* cells, size_t n) {
-            for (size_t c = 0; c < n; ++c) {
-              Status appended = out.AppendCell(cells[c]);
-              if (!appended.ok()) return appended;
-            }
-            return out.EndRow();
-          });
-      if (!scanned.ok()) return scanned;
-      *rows_out += out.rows();
-      ctx->DiscardRun(run);
-    } else {
-      std::vector<std::string_view> views;
-      for (const Table::Row& row : relation.table().rows()) {
-        views.clear();
-        views.reserve(row.size());
-        for (const std::string& cell : row) views.push_back(cell);
-        Status written_row = writer->WriteRow(views.data(), views.size());
-        if (!written_row.ok()) return written_row;
-        ++*rows_out;
-      }
-    }
-  }
+  // An empty suffix (the planner never builds one): write the relation
+  // out as it is.
+  Status scanned = source.Scan(
+      [&](const std::string_view* cells, size_t n) {
+        return out.Push(cells, n);
+      },
+      [&] { return out.bytes_buffered(); });
+  if (!scanned.ok()) return scanned;
+  Discard(relation, ctx);
+  *rows_out += out.rows();
   return Status::OK();
 }
 

@@ -11,6 +11,7 @@
 
 #include "exec/kernels.h"
 #include "exec/plan.h"
+#include "ops/row_io.h"
 #include "program/program.h"
 #include "table/csv_stream.h"
 #include "table/table.h"
@@ -21,17 +22,20 @@ namespace foofah {
 namespace exec {
 
 /// Spill-to-disk graceful degradation for the blocking suffix (see
-/// runner.h for the executor's entry points). When materializing the
-/// prefix output would breach the spill threshold, rows move to a
-/// chunked on-disk run file and every remaining operation executes over
-/// the spill-backed relation: streaming/windowed suffix steps scan the
-/// run through their ordinary kernels, Transpose runs as column-tiled
-/// passes (degrading to one streamed column per pass when a single
-/// column exceeds the tile budget), SplitAll as a measure + map scan
-/// pair, and Unfold/Wrap* as single scans with only their group/output
-/// state resident. Spilled bytes are charged to a DiskGauge against the
-/// disk budget, completing the degradation ladder: in-memory → spill →
-/// typed kResourceExhausted, never OOM.
+/// runner.h for the executor's entry points). The suffix's relation is
+/// held in memory while it fits the spill threshold and moves to a
+/// chunked on-disk run file past it. Every suffix step runs the
+/// operator's one definition (RunOperation, ops/operators.h) over the
+/// relation, whichever kind it is, and writes into a
+/// SpillableRelationBuilder (the last step into the CSV writer), so a
+/// step whose output outgrows the threshold spills too. Over a run,
+/// row-local steps scan it through their kernels, Transpose reads it in
+/// column tiles (degrading to one streamed column per pass when a
+/// single column exceeds the tile budget), SplitAll in a measure + map
+/// scan pair, and Unfold/Wrap* in a single scan with only their
+/// group/output state resident. Spilled bytes are charged to a
+/// DiskGauge against the disk budget, completing the degradation
+/// ladder: in-memory → spill → typed kResourceExhausted, never OOM.
 ///
 /// Run file format: a sequence of pages, each
 ///   [u32le payload_len][u32le crc32][payload]
@@ -43,11 +47,9 @@ namespace exec {
 /// exec/spill_write and exec/spill_read fault points simulate
 /// ENOSPC/EIO at every page boundary.
 ///
-/// Byte-identity contract: every spill-aware operator mirrors its
-/// Table counterpart in ops/operators.cc cell for cell (padding reads
-/// through the relation width exactly like Table::cell). The
-/// differential suite proves this at spill thresholds down to zero —
-/// "spill everything" — over the corpus and generated scenarios.
+/// Byte identity with ToCsv(Program::Execute(...)) needs no mirror:
+/// Program::Execute runs the same definitions over a Table. A run keeps
+/// each row's stored cells, so ragged rows stay ragged across a spill.
 
 /// High-water gauge of tracked resident bytes, charged as growth deltas
 /// against the token's memory budget (so total-charged == peak). Every
@@ -280,41 +282,23 @@ class SpillContext {
   SpillStats stats_;
 };
 
-/// Cell-granular row consumer: where spill-aware operators send their
-/// output. Rows are assembled AppendCell by AppendCell so producers of
-/// giant rows (streamed Transpose, WrapAll) never hold one resident.
-/// Implementations: SpillableRelationBuilder (inter-stage relations)
-/// and the CSV writer adapter for the final stage (spill.cc).
-class CellSink {
- public:
-  virtual ~CellSink() = default;
-  virtual Status AppendCell(std::string_view cell) = 0;
-  virtual Status EndRow() = 0;
-  /// Resident bytes held by the sink, for the memory gauge.
-  virtual uint64_t bytes_buffered() const = 0;
-};
-
-/// Terminal sink for the materialization pass and for spill-aware
-/// operator output: accumulates a Table in memory and converts to an
-/// on-disk run the moment the tracked bytes exceed the spill threshold
-/// (threshold 0 spills on the first row; kNeverSpill reproduces the
-/// pure in-memory materialization byte for byte). Once spilled, cells
-/// stream straight to the run writer — giant rows never become
-/// resident.
-class SpillableRelationBuilder : public RowSink, public CellSink {
+/// Where a suffix step writes the relation it produces, and the
+/// materialization pass's terminal: accumulates rows in memory (a
+/// TableSink) and converts them to an on-disk run the moment the
+/// tracked bytes exceed the spill threshold (threshold 0 spills on the
+/// first cell; kNeverSpill never spills). Once spilled, cells stream
+/// straight to the run writer, so giant rows never become resident.
+class SpillableRelationBuilder : public RowSink {
  public:
   explicit SpillableRelationBuilder(SpillContext* ctx) : ctx_(ctx) {}
 
-  // RowSink: the materialization terminal and kernel-scan output.
   Status Push(const std::string_view* cells, size_t num_cells) override;
-  Status Finish() override { return Status(); }
-
-  // CellSink: cell-incremental producer interface.
   Status AppendCell(std::string_view cell) override;
   Status EndRow() override;
+  Status Finish() override { return Status(); }
 
-  /// In-memory resident bytes (pre-spill rows, or the run writer's page
-  /// buffer once spilled) — the gauge's extra_resident term.
+  /// In-memory resident bytes: the rows held before a spill, or the run
+  /// writer's page buffer once spilled.
   uint64_t bytes_buffered() const override;
 
   bool spilled() const { return writer_ != nullptr; }
@@ -324,11 +308,10 @@ class SpillableRelationBuilder : public RowSink, public CellSink {
 
  private:
   Status SpillNow();
+  Status SpillIfOver();
 
   SpillContext* ctx_;
-  Table table_;
-  Table::Row current_row_;
-  uint64_t mem_bytes_ = 0;
+  TableSink rows_in_memory_;
   uint64_t rows_ = 0;
   uint64_t max_width_ = 0;
   size_t cells_in_row_ = 0;
@@ -337,11 +320,11 @@ class SpillableRelationBuilder : public RowSink, public CellSink {
 };
 
 /// Executes program operations [prefix, size) over the materialized
-/// relation, spill-aware on both sides: a run-backed relation is
-/// processed per the scheme in the file comment, an in-memory one
-/// through ApplyOperation exactly as before. The final relation is
-/// written to `writer` (`*rows_out` counts its rows). Consumed run
-/// files are deleted as execution advances.
+/// relation, one loop for every kind of relation: each step validates
+/// against the relation's shape, runs the operator over it (file
+/// comment), and writes into a SpillableRelationBuilder, the last step
+/// into `writer` (`*rows_out` counts its rows). Consumed run files are
+/// deleted as execution advances.
 Status ExecuteBlockingSuffix(const Program& program, size_t prefix,
                              Relation relation, SpillContext* ctx,
                              CsvChunkWriter* writer, uint64_t* rows_out);

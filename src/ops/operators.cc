@@ -1,21 +1,26 @@
 #include "ops/operators.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <cstring>
 #include <locale>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <regex>
 #include <shared_mutex>
 #include <sstream>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "ops/row_kernels.h"
 #include "util/fault_injection.h"
 #include "util/string_util.h"
 
 namespace foofah {
 
 namespace {
-
-using Row = Table::Row;
 
 // libstdc++'s classic-locale ctype<char> facet fills its narrow()/widen()
 // caches lazily and without synchronization, and std::regex compilation
@@ -44,372 +49,389 @@ bool ColumnInRange(int col, size_t ncols) {
   return col >= 0 && static_cast<size_t>(col) < ncols;
 }
 
-// Reads the full-width row `r` of `t` (padding ragged rows with "").
-Row FullRow(const Table& t, size_t r, size_t ncols) {
-  Row row;
-  row.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) row.push_back(t.cell(r, c));
-  return row;
-}
+// ---------------------------------------------------------------------------
+// The blocking operators (the row-local ones are kernels, in
+// ops/row_kernels.cc). Each reads the whole relation before it can emit,
+// re-scanning it as needed, and reports what it holds between rows to
+// the scan, which charges it to the memory budget when the source has
+// one. Parameters are already validated (ValidateOperation).
 
-// The Apply* bodies below assume parameters already validated by
-// ValidateOperation (ApplyOperation routes every call through it) —
-// validation lives in exactly one place so the streaming exec backend,
-// which validates against symbolic shapes, can never drift from the
-// Table executor.
-
-Result<Table> ApplyDrop(const Table& t, int col) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row;
-    row.reserve(ncols - 1);
-    for (size_t c = 0; c < ncols; ++c) {
-      if (c != static_cast<size_t>(col)) row.push_back(t.cell(r, c));
-    }
-    rows.push_back(std::move(row));
+// Dense ids for byte strings in order of first appearance: the index
+// Unfold and WrapColumn keep. Output order comes from first appearance,
+// so the index needs no order of its own. Keys are stored end to end in
+// one string; an open-addressing table maps a key to its id.
+class FirstAppearance {
+ public:
+  explicit FirstAppearance(size_t expected) {
+    ends_.reserve(expected);
+    size_t slots = 8;
+    while (slots < 2 * expected) slots *= 2;
+    Rehash(slots);
   }
-  return Table(std::move(rows));
-}
 
-Result<Table> ApplyMove(const Table& t, int from, int to) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row = FullRow(t, r, ncols);
-    std::string cell = std::move(row[from]);
-    row.erase(row.begin() + from);
-    row.insert(row.begin() + to, std::move(cell));
-    rows.push_back(std::move(row));
-  }
-  return Table(std::move(rows));
-}
-
-Result<Table> ApplyCopy(const Table& t, int col) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row = FullRow(t, r, ncols);
-    row.push_back(t.cell(r, col));
-    rows.push_back(std::move(row));
-  }
-  return Table(std::move(rows));
-}
-
-Result<Table> ApplyMerge(const Table& t, int col1, int col2,
-                         const std::string& glue) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row;
-    row.reserve(ncols - 1);
-    for (size_t c = 0; c < ncols; ++c) {
-      if (c != static_cast<size_t>(col1) && c != static_cast<size_t>(col2)) {
-        row.push_back(t.cell(r, c));
+  // The id of `key`: the next unused one on its first appearance.
+  size_t Intern(std::string_view key) {
+    if (2 * (ends_.size() + 1) > slots_.size()) Rehash(2 * slots_.size());
+    const size_t mask = slots_.size() - 1;
+    for (size_t i = Slot(key, mask);; i = (i + 1) & mask) {
+      if (slots_[i] == 0) {
+        blob_.append(key);
+        ends_.push_back(blob_.size());
+        slots_[i] = ends_.size();
+        return ends_.size() - 1;
       }
+      if (this->key(slots_[i] - 1) == key) return slots_[i] - 1;
     }
-    row.push_back(t.cell(r, col1) + glue + t.cell(r, col2));
-    rows.push_back(std::move(row));
   }
-  return Table(std::move(rows));
+
+  size_t size() const { return ends_.size(); }
+
+  std::string_view key(size_t id) const {
+    const size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return std::string_view(blob_).substr(begin, ends_[id] - begin);
+  }
+
+  uint64_t bytes() const {
+    return blob_.capacity() + (ends_.capacity() + slots_.capacity()) *
+                                  sizeof(size_t);
+  }
+
+ private:
+  void Rehash(size_t num_slots) {
+    slots_.assign(num_slots, 0);
+    const size_t mask = num_slots - 1;
+    for (size_t id = 0; id < ends_.size(); ++id) {
+      size_t i = Slot(key(id), mask);
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = id + 1;
+    }
+  }
+
+  // FNV-1a's low bits see only the low bits of each byte: fold the high
+  // half in before masking.
+  static size_t Slot(std::string_view key, size_t mask) {
+    const uint64_t hash = Fnv1aHash(key);
+    return static_cast<size_t>(hash ^ (hash >> 32)) & mask;
+  }
+
+  std::string blob_;
+  std::vector<size_t> ends_;   ///< End of key `id` in blob_.
+  std::vector<size_t> slots_;  ///< id + 1, or 0 for an empty slot.
+};
+
+// The expected number of distinct keys, for sizing an index: a scanned
+// relation may be huge with few keys, so the guess is capped.
+size_t ExpectedKeys(const RowSource& in) {
+  return static_cast<size_t>(std::min<uint64_t>(in.num_rows(), 1024));
 }
 
-Result<Table> ApplySplit(const Table& t, int col, const std::string& delim) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row;
-    row.reserve(ncols + 1);
-    for (size_t c = 0; c < ncols; ++c) {
-      if (c == static_cast<size_t>(col)) {
-        auto [left, right] = SplitFirst(t.cell(r, c), delim);
-        row.push_back(std::move(left));
-        row.push_back(std::move(right));
-      } else {
-        row.push_back(t.cell(r, c));
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return Table(std::move(rows));
+// Unfold's group keys: the key cells of a row, each length-prefixed, so
+// the encoding of a tuple is unique.
+void AppendKeyCell(std::string* key, std::string_view cell) {
+  const uint32_t size = static_cast<uint32_t>(cell.size());
+  key->append(reinterpret_cast<const char*>(&size), sizeof(size));
+  key->append(cell);
 }
 
-Result<Table> ApplyFold(const Table& t, int first_col, bool with_header) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  size_t first_data_row = with_header ? 1 : 0;
-  for (size_t r = first_data_row; r < t.num_rows(); ++r) {
-    for (size_t c = static_cast<size_t>(first_col); c < ncols; ++c) {
-      Row row;
-      row.reserve(first_col + 2);
-      for (size_t keep = 0; keep < static_cast<size_t>(first_col); ++keep) {
-        row.push_back(t.cell(r, keep));
-      }
-      if (with_header) row.push_back(t.cell(0, c));
-      row.push_back(t.cell(r, c));
-      rows.push_back(std::move(row));
-    }
-  }
-  return Table(std::move(rows));
+std::string_view NextKeyCell(std::string_view* key) {
+  uint32_t size = 0;
+  std::memcpy(&size, key->data(), sizeof(size));
+  std::string_view cell = key->substr(sizeof(size), size);
+  key->remove_prefix(sizeof(size) + size);
+  return cell;
 }
 
-Result<Table> ApplyUnfold(const Table& t, int header_col, int value_col) {
-  size_t ncols = t.num_cols();
-  // Key = all columns other than header_col and value_col, in order.
-  std::vector<size_t> key_cols;
-  for (size_t c = 0; c < ncols; ++c) {
-    if (c != static_cast<size_t>(header_col) &&
-        c != static_cast<size_t>(value_col)) {
-      key_cols.push_back(c);
-    }
-  }
+Status Unfold(const Operation& op, RowSource& in, RowSink& out) {
+  const size_t width = static_cast<size_t>(in.num_cols());
+  const size_t header_col = static_cast<size_t>(op.col1);
+  const size_t value_col = static_cast<size_t>(op.col2);
+  // The key is every column other than header_col and value_col, in
+  // order. Unique header values become the new columns, and unique keys
+  // the output rows, both in order of first appearance.
+  FirstAppearance columns(ExpectedKeys(in));
+  FirstAppearance groups(ExpectedKeys(in));
+  // One entry per row: the output cell its value lands in, the row's
+  // index, and where the value's bytes are.
+  struct Entry {
+    size_t group;
+    size_t column;
+    size_t row;
+    size_t begin;
+    size_t end;
+  };
+  std::vector<Entry> entries;
+  entries.reserve(ExpectedKeys(in));
+  std::string values;
+  std::string key;
 
-  // Unique header values in order of first appearance become new columns.
-  std::vector<std::string> new_columns;
-  std::map<std::string, size_t> column_index;
-  // Groups (by key tuple) in order of first appearance.
-  std::vector<Row> group_keys;
-  std::map<Row, size_t> group_index;
-  std::vector<std::map<size_t, std::string>> group_values;
-
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    // A null header value becomes a column literally named "null" — the
-    // broken Figure 4 situation, where missing values surface as "null"
-    // identifiers in the unfolded output. Keeping the breakage *visible*
-    // matters: the Null-In-Column pruning rule (§4.3) is only lossless
-    // because such states can never silently equal a clean goal table.
-    const std::string& header_cell = t.cell(r, header_col);
-    const std::string header = header_cell.empty() ? "null" : header_cell;
-    auto [cit, cinserted] = column_index.try_emplace(header, new_columns.size());
-    if (cinserted) new_columns.push_back(header);
-
-    Row key;
-    key.reserve(key_cols.size());
-    for (size_t c : key_cols) key.push_back(t.cell(r, c));
-    auto [git, ginserted] = group_index.try_emplace(key, group_keys.size());
-    if (ginserted) {
-      group_keys.push_back(key);
-      group_values.emplace_back();
-    }
-    group_values[git->second][cit->second] = t.cell(r, value_col);
-  }
-
-  std::vector<Row> rows;
-  rows.reserve(group_keys.size() + 1);
-  // Header row: empty cells for the key columns, then the new column names
-  // (Figure 2: "Tel Fax" with an empty cell above the human names).
-  Row header_row(key_cols.size());
-  for (const std::string& name : new_columns) header_row.push_back(name);
-  rows.push_back(std::move(header_row));
-
-  for (size_t g = 0; g < group_keys.size(); ++g) {
-    Row row = group_keys[g];
-    row.resize(key_cols.size() + new_columns.size());
-    for (const auto& [col, value] : group_values[g]) {
-      row[key_cols.size() + col] = value;
-    }
-    rows.push_back(std::move(row));
-  }
-  return Table(std::move(rows));
-}
-
-Result<Table> ApplyFill(const Table& t, int col) {
-  // Copy-on-write: start from an O(1) snapshot of the parent and detach
-  // only the rows actually filled. Rows whose cell is already set — and
-  // empty cells with nothing above them to fill from — stay shared.
-  Table out = t;
-  std::string last;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    const std::string& value = t.cell(r, static_cast<size_t>(col));
-    if (value.empty()) {
-      if (!last.empty()) out.set_cell(r, static_cast<size_t>(col), last);
-    } else {
-      last = value;
-    }
-  }
-  return out;
-}
-
-Result<Table> ApplyDivide(const Table& t, int col, DividePredicate predicate) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row;
-    row.reserve(ncols + 1);
-    for (size_t c = 0; c < ncols; ++c) {
-      if (c == static_cast<size_t>(col)) {
-        const std::string& value = t.cell(r, c);
-        if (EvalDividePredicate(predicate, value)) {
-          row.push_back(value);
-          row.push_back("");
-        } else {
-          row.push_back("");
-          row.push_back(value);
+  Status scanned = in.Scan(
+      [&](const std::string_view* cells, size_t n) {
+        // A null header value becomes a column literally named "null" —
+        // the broken Figure 4 situation, where missing values surface as
+        // "null" identifiers in the unfolded output. Keeping the breakage
+        // *visible* matters: the Null-In-Column pruning rule (§4.3) is
+        // only lossless because such states can never silently equal a
+        // clean goal table.
+        std::string_view header = PaddedCell(cells, n, header_col);
+        const size_t column = columns.Intern(header.empty() ? "null" : header);
+        key.clear();
+        for (size_t c = 0; c < width; ++c) {
+          if (c != header_col && c != value_col) {
+            AppendKeyCell(&key, PaddedCell(cells, n, c));
+          }
         }
-      } else {
-        row.push_back(t.cell(r, c));
-      }
+        const size_t group = groups.Intern(key);
+        const size_t row = entries.size();
+        const size_t begin = values.size();
+        values.append(PaddedCell(cells, n, value_col));
+        entries.push_back({group, column, row, begin, values.size()});
+        return Status();
+      },
+      [&] {
+        return columns.bytes() + groups.bytes() + values.capacity() +
+               key.capacity() + entries.capacity() * sizeof(Entry) +
+               out.bytes_buffered();
+      });
+  if (!scanned.ok()) return scanned;
+
+  // By output cell, then row, so the last row's value for a cell wins (a
+  // later row overwrites an earlier value). The row index makes the order
+  // total: empty values share their byte offset with the next row's.
+  std::sort(entries.begin(), entries.end(), [](const Entry& a, const Entry& b) {
+    if (a.group != b.group) return a.group < b.group;
+    if (a.column != b.column) return a.column < b.column;
+    return a.row < b.row;
+  });
+
+  // Header row: empty cells over the key columns, then the new column
+  // names (Figure 2: "Tel Fax" with an empty cell above the human names).
+  for (size_t c = 0; c + 2 < width; ++c) {
+    Status appended = out.AppendCell(std::string_view());
+    if (!appended.ok()) return appended;
+  }
+  for (size_t column = 0; column < columns.size(); ++column) {
+    Status appended = out.AppendCell(columns.key(column));
+    if (!appended.ok()) return appended;
+  }
+  Status ended = out.EndRow();
+  if (!ended.ok()) return ended;
+
+  size_t e = 0;
+  for (size_t group = 0; group < groups.size(); ++group) {
+    std::string_view encoded = groups.key(group);
+    while (!encoded.empty()) {
+      Status appended = out.AppendCell(NextKeyCell(&encoded));
+      if (!appended.ok()) return appended;
     }
-    rows.push_back(std::move(row));
+    for (size_t column = 0; column < columns.size(); ++column) {
+      std::string_view value;
+      for (; e < entries.size() && entries[e].group == group &&
+             entries[e].column == column;
+           ++e) {
+        value = std::string_view(values).substr(
+            entries[e].begin, entries[e].end - entries[e].begin);
+      }
+      Status appended = out.AppendCell(value);
+      if (!appended.ok()) return appended;
+    }
+    Status row_ended = out.EndRow();
+    if (!row_ended.ok()) return row_ended;
   }
-  return Table(std::move(rows));
+  return Status();
 }
 
-Result<Table> ApplyDelete(const Table& t, int col) {
-  // Copy-on-write: survivors are shared handles, not padded deep copies.
-  // The child's num_cols() is recomputed from the survivors, so dropping
-  // the widest rows narrows the table instead of inheriting a stale
-  // parent width (see Table's width invariant).
-  Table out;
-  out.ReserveRows(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    if (t.cell(r, static_cast<size_t>(col)).empty()) continue;
-    out.AppendSharedRow(t.row_handle(r));
+Status Transpose(RowSource& in, RowSink& out) {
+  const uint64_t num_rows = in.num_rows();
+  const uint64_t num_cols = in.num_cols();
+  // Output row c is input column c.
+  if (const Table* table = in.table()) {
+    // Resident rows: read each column in place.
+    thread_local std::vector<std::string_view> column;
+    for (size_t c = 0; c < num_cols; ++c) {
+      column.clear();
+      for (size_t r = 0; r < num_rows; ++r) column.push_back(table->cell(r, c));
+      Status pushed = out.Push(column.data(), column.size());
+      if (!pushed.ok()) return pushed;
+    }
+    return Status();
   }
-  return out;
+  if (num_cols == 0) return Status();
+  // A scanned source: columns are buffered T at a time (T from the tile
+  // budget), so the pass count is ceil(C / T). When even one column
+  // exceeds the budget, T degrades to a zero-buffer mode that streams
+  // one column per pass straight into the sink: O(1) memory, C passes.
+  const uint64_t tile_budget = in.tile_budget();
+  const uint64_t col_est =
+      in.scan_bytes() / num_cols + num_rows * 16;  // bytes + slop per cell
+  if (col_est > tile_budget) {
+    for (uint64_t c = 0; c < num_cols; ++c) {
+      Status scanned = in.Scan(
+          [&](const std::string_view* cells, size_t n) {
+            return out.AppendCell(PaddedCell(cells, n, c));
+          },
+          [&] { return out.bytes_buffered(); });
+      if (!scanned.ok()) return scanned;
+      Status ended = out.EndRow();
+      if (!ended.ok()) return ended;
+    }
+    return Status();
+  }
+  const uint64_t tile = std::min<uint64_t>(
+      num_cols,
+      std::max<uint64_t>(1, tile_budget / std::max<uint64_t>(col_est, 1)));
+  for (uint64_t c0 = 0; c0 < num_cols; c0 += tile) {
+    const size_t k =
+        static_cast<size_t>(std::min<uint64_t>(tile, num_cols - c0));
+    // Flat per-column buffers (bytes blob + cell sizes), not
+    // vector<string>: per-cell container overhead would dwarf short
+    // cells at the scales that spill in the first place.
+    std::vector<std::string> blobs(k);
+    std::vector<std::vector<uint32_t>> sizes(k);
+    Status scanned = in.Scan(
+        [&](const std::string_view* cells, size_t n) {
+          for (size_t j = 0; j < k; ++j) {
+            std::string_view cell = PaddedCell(cells, n, c0 + j);
+            blobs[j].append(cell.data(), cell.size());
+            sizes[j].push_back(static_cast<uint32_t>(cell.size()));
+          }
+          return Status();
+        },
+        [&] {
+          uint64_t bytes = out.bytes_buffered();
+          for (size_t j = 0; j < k; ++j) {
+            bytes += blobs[j].capacity() +
+                     sizes[j].capacity() * sizeof(uint32_t);
+          }
+          return bytes;
+        });
+    if (!scanned.ok()) return scanned;
+    for (size_t j = 0; j < k; ++j) {
+      size_t offset = 0;
+      for (uint32_t size : sizes[j]) {
+        Status appended =
+            out.AppendCell(std::string_view(blobs[j]).substr(offset, size));
+        if (!appended.ok()) return appended;
+        offset += size;
+      }
+      Status ended = out.EndRow();
+      if (!ended.ok()) return ended;
+    }
+  }
+  return Status();
 }
 
-Result<Table> ApplyExtract(const Table& t, int col, const std::string& regex) {
-  size_t ncols = t.num_cols();
-  // ValidateOperation already compiled (and cached) the pattern, so this
-  // re-fetch is a shared-lock cache hit.
-  Result<const std::regex*> compiled = CompileCachedRegex(regex);
-  if (!compiled.ok()) return compiled.status();
-  const std::regex* re = compiled.value();
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row;
-    row.reserve(ncols + 1);
-    for (size_t c = 0; c < ncols; ++c) {
-      row.push_back(t.cell(r, c));
-      if (c == static_cast<size_t>(col)) {
-        std::smatch match;
-        const std::string& value = t.cell(r, c);
-        std::string extracted;
-        if (std::regex_search(value, match, *re)) {
-          // A capture group, when present, selects the extracted portion
-          // (supports the Appendix B "prefix/suffix" usage).
-          extracted = match.size() > 1 && match[1].matched
-                          ? match[1].str()
-                          : match[0].str();
+Status WrapColumn(const Operation& op, RowSource& in, RowSink& out) {
+  const size_t width = static_cast<size_t>(in.num_cols());
+  const size_t col = static_cast<size_t>(op.col1);
+  // Rows with equal values in `col` are concatenated, padded, in order
+  // of first appearance of the value (Appendix A, Wrap variant 1).
+  FirstAppearance keys(ExpectedKeys(in));
+  std::vector<size_t> group_of;  // Each row's group.
+  std::string cells;             // Every padded cell, row after row.
+  std::vector<size_t> ends;      // Where each of those cells ends.
+  Status scanned = in.Scan(
+      [&](const std::string_view* row, size_t n) {
+        group_of.push_back(keys.Intern(PaddedCell(row, n, col)));
+        for (size_t c = 0; c < width; ++c) {
+          cells.append(PaddedCell(row, n, c));
+          ends.push_back(cells.size());
         }
-        row.push_back(std::move(extracted));
-      }
+        return Status();
+      },
+      [&] {
+        return keys.bytes() + cells.capacity() +
+               (group_of.capacity() + ends.capacity()) * sizeof(size_t) +
+               out.bytes_buffered();
+      });
+  if (!scanned.ok()) return scanned;
+
+  // The rows by group, each group in row order.
+  std::vector<size_t> order(group_of.size());
+  for (size_t r = 0; r < order.size(); ++r) order[r] = r;
+  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return group_of[a] != group_of[b] ? group_of[a] < group_of[b] : a < b;
+  });
+  for (size_t i = 0; i < order.size(); ++i) {
+    const size_t r = order[i];
+    for (size_t cell = r * width; cell < (r + 1) * width; ++cell) {
+      const size_t begin = cell == 0 ? 0 : ends[cell - 1];
+      Status appended = out.AppendCell(
+          std::string_view(cells).substr(begin, ends[cell] - begin));
+      if (!appended.ok()) return appended;
     }
-    rows.push_back(std::move(row));
+    if (i + 1 == order.size() || group_of[order[i + 1]] != group_of[r]) {
+      Status ended = out.EndRow();
+      if (!ended.ok()) return ended;
+    }
   }
-  return Table(std::move(rows));
+  return Status();
 }
 
-Result<Table> ApplyTranspose(const Table& t) {
-  size_t nrows = t.num_rows();
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    rows[c].reserve(nrows);
-    for (size_t r = 0; r < nrows; ++r) {
-      rows[c].push_back(t.cell(r, c));
-    }
-  }
-  return Table(std::move(rows));
+Status WrapAll(RowSource& in, RowSink& out) {
+  // Every padded cell of every row, in one output row; no row at all
+  // when there is no cell.
+  const size_t width = static_cast<size_t>(in.num_cols());
+  if (in.num_rows() == 0 || width == 0) return Status();
+  Status scanned = in.Scan(
+      [&](const std::string_view* cells, size_t n) {
+        for (size_t c = 0; c < width; ++c) {
+          Status appended = out.AppendCell(PaddedCell(cells, n, c));
+          if (!appended.ok()) return appended;
+        }
+        return Status();
+      },
+      [&] { return out.bytes_buffered(); });
+  if (!scanned.ok()) return scanned;
+  return out.EndRow();
 }
 
-Result<Table> ApplyWrapColumn(const Table& t, int col) {
-  size_t ncols = t.num_cols();
-  // Rows with equal values in `col` are concatenated, in order of first
-  // appearance of the value (Appendix A, Wrap variant 1).
-  std::vector<std::string> keys;
-  std::map<std::string, size_t> key_index;
-  std::vector<Row> groups;
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    const std::string& key = t.cell(r, col);
-    auto [it, inserted] = key_index.try_emplace(key, keys.size());
-    if (inserted) {
-      keys.push_back(key);
-      groups.emplace_back();
-    }
-    Row row = FullRow(t, r, ncols);
-    Row& group = groups[it->second];
-    group.insert(group.end(), std::make_move_iterator(row.begin()),
-                 std::make_move_iterator(row.end()));
-  }
-  return Table(std::move(groups));
-}
-
-Result<Table> ApplyWrapEvery(const Table& t, int k) {
-  size_t ncols = t.num_cols();
-  std::vector<Row> rows;
-  for (size_t r = 0; r < t.num_rows(); r += static_cast<size_t>(k)) {
-    Row combined;
-    for (size_t i = r; i < std::min(t.num_rows(), r + static_cast<size_t>(k));
-         ++i) {
-      Row row = FullRow(t, i, ncols);
-      combined.insert(combined.end(), std::make_move_iterator(row.begin()),
-                      std::make_move_iterator(row.end()));
-    }
-    rows.push_back(std::move(combined));
-  }
-  return Table(std::move(rows));
-}
-
-Result<Table> ApplySplitAll(const Table& t, int col,
-                            const std::string& delim) {
-  size_t ncols = t.num_cols();
-  // The widest split determines how many columns replace column `col`;
-  // shorter splits pad with empty cells.
+Status SplitAll(const Operation& op, RowSource& in, RowSink& out) {
+  const size_t width = static_cast<size_t>(in.num_cols());
+  const size_t col = static_cast<size_t>(op.col1);
+  const std::string_view delim = op.text;
+  // The widest split sets how many columns replace column `col`; shorter
+  // splits pad with empty cells. One scan measures, a second emits.
   size_t parts = 1;
-  std::vector<std::vector<std::string>> split_cells;
-  split_cells.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    split_cells.push_back(SplitAll(t.cell(r, col), delim));
-    parts = std::max(parts, split_cells.back().size());
-  }
-  std::vector<Row> rows;
-  rows.reserve(t.num_rows());
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row;
-    row.reserve(ncols + parts - 1);
-    for (size_t c = 0; c < ncols; ++c) {
-      if (c == static_cast<size_t>(col)) {
-        std::vector<std::string>& pieces = split_cells[r];
-        pieces.resize(parts);
-        for (std::string& piece : pieces) row.push_back(std::move(piece));
-      } else {
-        row.push_back(t.cell(r, c));
-      }
-    }
-    rows.push_back(std::move(row));
-  }
-  return Table(std::move(rows));
-}
+  Status measured = in.Scan(
+      [&](const std::string_view* cells, size_t n) {
+        std::string_view value = PaddedCell(cells, n, col);
+        size_t pieces = 1;
+        for (size_t pos = value.find(delim); pos != std::string_view::npos;
+             pos = value.find(delim, pos + delim.size())) {
+          ++pieces;
+        }
+        parts = std::max(parts, pieces);
+        return Status();
+      },
+      [&] { return out.bytes_buffered(); });
+  if (!measured.ok()) return measured;
 
-Result<Table> ApplyDeleteRow(const Table& t, int row_index) {
-  // Copy-on-write: O(1) snapshot, then drop the one row. Survivors stay
-  // shared and unpadded; RemoveRow recomputes the width from them.
-  Table out = t;
-  out.RemoveRow(static_cast<size_t>(row_index));
-  return out;
-}
-
-Result<Table> ApplyWrapAll(const Table& t) {
-  size_t ncols = t.num_cols();
-  Row combined;
-  combined.reserve(t.num_rows() * ncols);
-  for (size_t r = 0; r < t.num_rows(); ++r) {
-    Row row = FullRow(t, r, ncols);
-    combined.insert(combined.end(), std::make_move_iterator(row.begin()),
-                    std::make_move_iterator(row.end()));
-  }
-  std::vector<Row> rows;
-  if (!combined.empty()) rows.push_back(std::move(combined));
-  return Table(std::move(rows));
+  return in.Scan(
+      [&](const std::string_view* cells, size_t n) {
+        for (size_t c = 0; c < width; ++c) {
+          std::string_view value = PaddedCell(cells, n, c);
+          if (c != col) {
+            Status appended = out.AppendCell(value);
+            if (!appended.ok()) return appended;
+            continue;
+          }
+          size_t pieces = 0;
+          for (;;) {
+            const size_t pos = value.find(delim);
+            Status appended = out.AppendCell(value.substr(0, pos));
+            if (!appended.ok()) return appended;
+            ++pieces;
+            if (pos == std::string_view::npos) break;
+            value.remove_prefix(pos + delim.size());
+          }
+          for (; pieces < parts; ++pieces) {
+            Status appended = out.AppendCell(std::string_view());
+            if (!appended.ok()) return appended;
+          }
+        }
+        return out.EndRow();
+      },
+      [&] { return out.bytes_buffered(); });
 }
 
 }  // namespace
@@ -589,48 +611,37 @@ bool EvalDividePredicate(DividePredicate predicate, std::string_view value) {
   return false;
 }
 
+Status RunOperation(const Operation& operation, RowSource& input,
+                    RowSink& output) {
+  switch (operation.op) {
+    case OpCode::kUnfold:
+      return Unfold(operation, input, output);
+    case OpCode::kTranspose:
+      return Transpose(input, output);
+    case OpCode::kWrapColumn:
+      return WrapColumn(operation, input, output);
+    case OpCode::kWrapAll:
+      return WrapAll(input, output);
+    case OpCode::kSplitAll:
+      return SplitAll(operation, input, output);
+    default:
+      break;
+  }
+  return RunRowKernel(operation, input, output);
+}
+
 Result<Table> ApplyOperation(const Table& input, const Operation& operation) {
   Status valid =
       ValidateOperation(operation, input.num_cols(), input.num_rows());
   if (!valid.ok()) return valid;
-  switch (operation.op) {
-    case OpCode::kDrop:
-      return ApplyDrop(input, operation.col1);
-    case OpCode::kMove:
-      return ApplyMove(input, operation.col1, operation.col2);
-    case OpCode::kCopy:
-      return ApplyCopy(input, operation.col1);
-    case OpCode::kMerge:
-      return ApplyMerge(input, operation.col1, operation.col2, operation.text);
-    case OpCode::kSplit:
-      return ApplySplit(input, operation.col1, operation.text);
-    case OpCode::kFold:
-      return ApplyFold(input, operation.col1, operation.int_param != 0);
-    case OpCode::kUnfold:
-      return ApplyUnfold(input, operation.col1, operation.col2);
-    case OpCode::kFill:
-      return ApplyFill(input, operation.col1);
-    case OpCode::kDivide:
-      return ApplyDivide(input, operation.col1,
-                         static_cast<DividePredicate>(operation.int_param));
-    case OpCode::kDelete:
-      return ApplyDelete(input, operation.col1);
-    case OpCode::kExtract:
-      return ApplyExtract(input, operation.col1, operation.text);
-    case OpCode::kTranspose:
-      return ApplyTranspose(input);
-    case OpCode::kWrapColumn:
-      return ApplyWrapColumn(input, operation.col1);
-    case OpCode::kWrapEvery:
-      return ApplyWrapEvery(input, operation.int_param);
-    case OpCode::kWrapAll:
-      return ApplyWrapAll(input);
-    case OpCode::kSplitAll:
-      return ApplySplitAll(input, operation.col1, operation.text);
-    case OpCode::kDeleteRow:
-      return ApplyDeleteRow(input, operation.int_param);
-  }
-  return Status::Internal("unknown operation code");
+  TableSource source(input);
+  TableSink sink(&source);
+  // Enough for every output but Fold's: at most one row more than the
+  // input (Unfold's header), or one per column (Transpose).
+  sink.ReserveRows(std::max(input.num_rows() + 1, input.num_cols()));
+  Status ran = RunOperation(operation, source, sink);
+  if (!ran.ok()) return ran;
+  return sink.Take();
 }
 
 }  // namespace foofah

@@ -1,11 +1,13 @@
 #ifndef FOOFAH_OPS_OPERATORS_H_
 #define FOOFAH_OPS_OPERATORS_H_
 
+#include <cstddef>
 #include <regex>
 #include <string>
 #include <string_view>
 
 #include "ops/operation.h"
+#include "ops/row_io.h"
 #include "table/table.h"
 #include "util/status.h"
 
@@ -32,7 +34,23 @@ namespace foofah {
 ///    formula appends, contradicting the paper's own figure.
 ///  - Unfold emits a header row whose key-column cells are empty and whose
 ///    new-column cells are the unique header values, as in Figure 2.
+///
+/// Runs the one definition of the operator (RunOperation) over the
+/// table, into a TableSink. Rows the operator leaves unchanged (Delete,
+/// DeleteRow, Fill on a set cell) are shared with `input`, not copied.
 Result<Table> ApplyOperation(const Table& input, const Operation& operation);
+
+/// Runs `operation` over `input` into `output`: the single definition of
+/// each operator, shared by every row source (a Table, the executor's
+/// CSV stream and its relation, in memory or spilled). `operation` must
+/// be valid for `input`'s shape (ValidateOperation). Row-local operators
+/// push each row through their kernel (ops/row_kernels.h); the blocking
+/// ones (Unfold, Transpose, WrapColumn, WrapAll, SplitAll) scan `input`
+/// as often as they need. Transpose reads a source that is a Table in
+/// place, one column at a time, and any other in column tiles. Fails
+/// only on a failure of the source or sink.
+Status RunOperation(const Operation& operation, RowSource& input,
+                    RowSink& output);
 
 /// Validates `operation`'s parameters against a table shape WITHOUT
 /// executing it: returns exactly the Status ApplyOperation would return
@@ -49,8 +67,8 @@ Status ValidateOperation(const Operation& operation, size_t num_cols,
 /// The process-wide compiled-regex cache behind Extract (reader/writer
 /// locked; entries are never invalidated). Returns a pointer valid for
 /// the process lifetime, or InvalidArgument for a malformed pattern.
-/// Shared by ValidateOperation, ApplyExtract, and the exec backend's
-/// Extract kernel so every path compiles a pattern exactly once.
+/// Shared by ValidateOperation and the Extract kernel, so every path
+/// compiles a pattern exactly once.
 Result<const std::regex*> CompileCachedRegex(const std::string& regex);
 
 /// Evaluates a Divide predicate on one cell value.

@@ -399,6 +399,84 @@ TEST(SpillApplyTest, SpillDirOverrideIsUsedAndCleaned) {
   RemoveTree(spill_dir);
 }
 
+// --- A blocking step whose output dwarfs the budget ----------------------
+
+// Inputs of ~10-20 KB whose blocking step builds an output of ~1M cells,
+// each followed by a row-local step, so the blocking step's output is an
+// intermediate relation rather than the final CSV.
+struct WideOutputCase {
+  const char* name;
+  std::string input;
+  Program program;
+};
+
+std::vector<WideOutputCase> WideOutputCases(int rows) {
+  // Unfold with a distinct key and header per row: rows + 1 output rows
+  // of rows + 1 cells.
+  std::string unfold;
+  for (int i = 0; i < rows; ++i) {
+    const std::string n = std::to_string(i);
+    for (const char* prefix : {"k", ",h", ",v"}) {
+      unfold += prefix;
+      unfold += n;
+    }
+    unfold += "\n";
+  }
+  // SplitAll of one cell into `rows` pieces: every row gets `rows` cells.
+  std::string split_all;
+  for (int j = 0; j < rows; ++j) {
+    split_all += j > 0 ? ";p" : "p";
+    split_all += std::to_string(j);
+  }
+  split_all += "\n";
+  for (int i = 1; i < rows; ++i) {
+    split_all += "x";
+    split_all += std::to_string(i);
+    split_all += "\n";
+  }
+  // Transpose of one `rows`-cell row over `rows` one-cell rows.
+  std::string transpose;
+  for (int j = 0; j < rows; ++j) {
+    transpose += j > 0 ? ",c" : "c";
+    transpose += std::to_string(j);
+  }
+  transpose += "\n";
+  for (int i = 0; i < rows; ++i) {
+    transpose += "r";
+    transpose += std::to_string(i);
+    transpose += "\n";
+  }
+  return {{"unfold", unfold, Program({Unfold(1, 2), Drop(0)})},
+          {"splitall", split_all, Program({SplitAll(0, ";"), Drop(1)})},
+          {"transpose", transpose, Program({Transpose(), Drop(0)})}};
+}
+
+TEST(SpillApplyTest, BlockingStepOutputFarAboveTheBudgetSpills) {
+  // The materialized input fits the budget many times over; the blocking
+  // step's output (~1M cells, ~40 MB as a Table) does not. The step
+  // writes into a builder that spills past the default threshold
+  // (budget / 2), so the apply succeeds within the budget. Building the
+  // whole output before the first budget check fails ResourceExhausted.
+  const uint64_t budget = 2u << 20;
+  for (const WideOutputCase& c : WideOutputCases(1'000)) {
+    SCOPED_TRACE(c.name);
+    std::string unbudgeted;
+    ASSERT_TRUE(
+        ApplyProgramToCsvText(c.program, c.input, &unbudgeted, {}).ok());
+    EXPECT_EQ(unbudgeted, Reference(c.program, c.input));
+
+    ApplyOptions options;
+    options.memory_budget_bytes = budget;
+    std::string output;
+    Result<ApplyStats> stats =
+        ApplyProgramToCsvText(c.program, c.input, &output, options);
+    ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+    EXPECT_EQ(output, unbudgeted);
+    EXPECT_GE(stats->spill_runs, 1u);
+    EXPECT_LE(stats->peak_tracked_bytes, budget);
+  }
+}
+
 // --- Crash-safe file output -----------------------------------------------
 
 TEST(SpillApplyFileTest, CommitIsAtomicOverPreviousOutput) {

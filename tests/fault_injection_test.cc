@@ -139,15 +139,21 @@ TEST_F(FaultInjectionTest, ResetClearsArmingAndHitCounts) {
 // ---------------------------------------------------------------------------
 
 TEST_F(FaultInjectionTest, TableDetachPointsAreExercisedByCopyOnWrite) {
-  // Applying an operation to a table mutates a copy whose storage is
-  // shared with the original — the copy-on-write detach paths must run.
+  // Writing to a copy whose storage is shared with the original detaches
+  // the spine and the written row; removing a row from another copy
+  // detaches that copy's spine. The original never changes.
   Table original({{"a", "b"}, {"", "c"}});
-  Result<Table> filled = ApplyOperation(original, Fill(0));
-  ASSERT_TRUE(filled.ok());
-  uint64_t detaches =
-      FaultInjector::Instance().HitCount(fault_points::kTableDetachSpine) +
-      FaultInjector::Instance().HitCount(fault_points::kTableDetachRow);
-  EXPECT_GT(detaches, 0u);
+  Table written = original;
+  written.set_cell(1, 0, "a");
+  EXPECT_EQ(
+      FaultInjector::Instance().HitCount(fault_points::kTableDetachSpine), 1u);
+  EXPECT_EQ(FaultInjector::Instance().HitCount(fault_points::kTableDetachRow),
+            1u);
+  Table removed = original;
+  removed.RemoveRow(0);
+  EXPECT_EQ(
+      FaultInjector::Instance().HitCount(fault_points::kTableDetachSpine), 2u);
+  EXPECT_EQ(original, Table({{"a", "b"}, {"", "c"}}));
 }
 
 TEST_F(FaultInjectionTest, InjectedRegexCompileFailureIsCleanAndNotSticky) {
@@ -259,10 +265,16 @@ TEST_F(FaultInjectionTest, CancelFiredAtEveryFailurePointTerminatesCleanly) {
     FaultInjector::Instance().ArmCallback(
         point, [&token] { token.RequestCancel(); });
 
-    // Direct operator traffic: copy-on-write detaches plus a regex compile
-    // with a per-iteration pattern (unique so the process-wide compile
-    // cache cannot skip the compile point on later sweep iterations).
+    // Direct table traffic: a write to a copy detaches the shared spine
+    // and row, and a removal from another copy its spine. Then operator
+    // traffic: a regex compile with a per-iteration pattern (unique so
+    // the process-wide compile cache cannot skip the compile point on
+    // later sweep iterations).
     Table shared({{"k1 v", ""}, {"k2 w", "y"}});
+    Table written = shared;
+    written.set_cell(0, 1, "x");
+    Table removed = shared;
+    removed.RemoveRow(1);
     (void)ApplyOperation(shared, Fill(1));
     std::string pattern = "sw[0-9]point" + std::to_string(i);
     (void)ApplyOperation(shared, Extract(0, pattern));
@@ -325,9 +337,12 @@ TEST_F(FaultInjectionTest, CancelFiredAtEveryFailurePointTerminatesCleanly) {
 TEST_F(FaultInjectionTest, SlowHeuristicDeadlineOvershootBoundedOnCorpus) {
   constexpr int64_t kDeadlineMs = 75;
   constexpr double kMaxOvershootMs = 250;
+  // Each estimate sleeps long enough that the deadline, not the work
+  // between estimates, ends most searches in every build flavour; at
+  // 500 us an optimized build solved all but five scenarios in time.
   FaultInjector::Instance().ArmCallback(
       fault_points::kHeuristicEstimate,
-      [] { std::this_thread::sleep_for(std::chrono::microseconds(500)); });
+      [] { std::this_thread::sleep_for(std::chrono::milliseconds(3)); });
 
   int timed_out_runs = 0;
   int anytime_runs = 0;

@@ -156,7 +156,7 @@ TEST(ParallelSearchTest, AgreesUnderBfsStrategy) {
   ExpectIdenticalOutcome(serial, parallel, scenario->name() + " bfs");
 }
 
-// ApplyExtract memoizes compiled regexes in a process-wide cache that the
+// Extract memoizes compiled regexes in a process-wide cache that the
 // pool workers read and populate concurrently. Hammering it with patterns
 // no other test uses puts several workers in the same pattern's
 // first-compilation window at once — the exact find/emplace race the
