@@ -162,10 +162,10 @@ void BM_SynthesizeMotivatingExample(benchmark::State& state) {
 }
 BENCHMARK(BM_SynthesizeMotivatingExample)->Unit(benchmark::kMillisecond);
 
-// Thread-count scaling of the parallel expansion engine on the motivating
-// example (cache on, the production configuration). threads:1 is the exact
-// legacy serial loop — the speedup trajectory of the PR is
-// BM_SynthesizeParallel/threads:4 vs threads:1.
+// Thread-count scaling of the search's expansion body on the motivating
+// example (cache on, the production configuration). threads:1 runs each
+// candidate as its own block with no pool; threads:4 fans every
+// expansion's evaluate and estimate steps out over a pool.
 void BM_SynthesizeParallel(benchmark::State& state) {
   Table in = MakeContactsInput(2);
   Table out = MakeContactsOutput(2);
@@ -189,10 +189,10 @@ BENCHMARK(BM_SynthesizeParallel)
 
 // Heuristic-memo ablation: cache:0 recomputes the TED dynamic program for
 // every estimated child, cache:1 memoizes by (state hash, goal hash).
-// With dedup:1 (graph search) the serial engine only estimates each unique
-// state once, so the memo mostly serves the parallel engine's pre-dedup
-// estimates; dedup:0 (tree search) re-reaches states through many paths
-// and is where the memo pays for itself even single-threaded.
+// With dedup:1 (graph search) the search estimates each unique state once
+// at any thread count, so it keeps no private memo and cache:1 equals
+// cache:0; dedup:0 (tree search) re-reaches states through many paths and
+// is where the memo pays for itself.
 void BM_SynthesizeCacheAblation(benchmark::State& state) {
   Table in = MakeContactsInput(2);
   Table out = MakeContactsOutput(2);

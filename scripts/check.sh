@@ -132,7 +132,7 @@ else
     --target parallel_search_test frontier_parallel_test \
     heuristic_cache_test synthesis_fuzz_test \
     cancellation_test fault_injection_test wrangler_session_test \
-    service_test exec_diff_test guidance_snapshot_test
+    service_test exec_diff_test guidance_snapshot_test trace_test
   ctest --test-dir build-tsan --output-on-failure -L tsan -j "${JOBS}"
 fi
 

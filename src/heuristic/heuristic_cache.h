@@ -40,11 +40,10 @@ namespace foofah {
 ///
 /// A search uses a cache only where it can hit: one shared by its caller
 /// (the §5.2 interaction rounds, the staged guided->exact search, the
-/// service's warm cache), or a private one in the parallel engine, which
-/// estimates children before deduplicating them, and in a search without
-/// deduplication. A serial deduplicating search estimates each distinct
-/// state once, so a private cache there would only ever miss; it keeps
-/// none (see SearchOptions::cache_heuristic).
+/// service's warm cache), or a private one in a search without
+/// deduplication. A deduplicating search estimates each distinct state
+/// once at any thread count, so a private cache there would only ever
+/// miss; it keeps none (see SearchOptions::cache_heuristic).
 class HeuristicCache {
  public:
   /// Aggregate counters since construction (or the last Clear()).

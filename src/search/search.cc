@@ -146,9 +146,10 @@ struct OpenEntry {
   }
 };
 
-/// How a candidate's side-effect-free evaluation ended. Everything here is
-/// computable from (parent state, candidate, goal) alone, which is what
-/// lets phase 2 of the expansion run on worker threads.
+/// How a candidate's expansion step ended. Evaluation sets one of the
+/// first six fates from (parent state, candidate, goal) alone, which is
+/// what lets it run on worker threads; admission then turns kEvaluated
+/// into kDuplicate or kAdmitted.
 enum class CandidateFate : uint8_t {
   kPrunedBefore,  ///< Rejected by the pre-apply rule.
   kApplyFailed,   ///< Operation parameters out of domain.
@@ -156,17 +157,17 @@ enum class CandidateFate : uint8_t {
   kPrunedAfter,   ///< Rejected by a post-apply §4.3 rule.
   kDeferred,      ///< Guided phase: survived and goal-tested (not a goal),
                   ///< but the guide deferred it — no estimate, no push.
-  kEvaluated,     ///< Child survived; `child` (and maybe `h`) are set.
+  kEvaluated,     ///< Child survived; `child` and `is_goal` are set.
+  kDuplicate,     ///< The state set already held the child.
+  kAdmitted,      ///< The child moved into the arena as `node`.
 };
 
 /// Whether an estimate was served from the heuristic memo.
 enum class CacheOutcome : uint8_t { kNone = 0, kHit, kMiss };
 
-/// Per-candidate result slot. The parallel engine fans evaluation out into
-/// these (one per candidate, index-addressed, no sharing), then replays
-/// the slots serially in candidate order so every frontier push, counter
-/// increment and observer callback happens exactly as in the serial
-/// engine.
+/// Per-candidate slot of one block of an expansion (see the block loop in
+/// RunSearch). Fanned-out steps write only their own slot; the serial
+/// steps walk the slots in candidate order.
 struct CandidateOutcome {
   CandidateFate fate = CandidateFate::kApplyFailed;
   PruneReason reason = PruneReason::kKept;  ///< For the pruned fates.
@@ -175,13 +176,13 @@ struct CandidateOutcome {
   /// Table::Hash() of `child`, for the state set and the memo. Set for a
   /// non-goal kEvaluated child when either exists.
   uint64_t hash = 0;
-  bool has_h = false;  ///< True when `h` was precomputed in phase 2.
-  double h = 0;
+  int node = -1;  ///< Arena index, for kAdmitted.
+  double h = 0;   ///< Estimate of an admitted non-goal child (A* only).
   CacheOutcome cache_outcome = CacheOutcome::kNone;
-  /// True once evaluation ran to a definitive fate. Stays false for slots
-  /// a fired CancellationToken abandoned (never dispatched, or
-  /// interrupted mid-estimate); such slots hold garbage and the
-  /// cancellation replay skips them.
+  /// True once the slot's work ran to a definitive result. Stays false
+  /// where a fired CancellationToken abandoned it (never dispatched, or
+  /// interrupted mid-estimate) and for the child admitted at the
+  /// generation budget, which is never estimated; emission skips them.
   bool complete = false;
 };
 
@@ -263,19 +264,19 @@ SearchResult RunSearch(const Table& input, const Table& goal,
   if (num_threads > 1) pool = std::make_unique<ThreadPool>(num_threads);
 
   // Heuristic memo: the caller's when it shares one across searches.
-  // Otherwise a private one exists only where it can hit: the parallel
-  // engine estimates before deduplication, and without deduplication a
-  // state is estimated on every visit. A serial deduplicating search
-  // estimates each distinct state once, so a private memo there would
-  // only ever miss. Keyed by goal hash too, so a shared cache never leaks
-  // estimates between goals.
+  // Otherwise a private one exists only without deduplication, where a
+  // state is estimated on every visit. A deduplicating search estimates
+  // each distinct state once at any thread count (only admitted children
+  // are estimated), so a private memo there would only ever miss. Keyed
+  // by goal hash too, so a shared cache never leaks estimates between
+  // goals.
   const bool count_estimates =
       options.cache_heuristic && options.strategy == SearchStrategy::kAStar;
   std::unique_ptr<HeuristicCache> owned_cache;
   HeuristicCache* cache = nullptr;
   if (count_estimates) {
     cache = options.heuristic_cache;
-    if (cache == nullptr && (pool != nullptr || !options.deduplicate_states)) {
+    if (cache == nullptr && !options.deduplicate_states) {
       owned_cache =
           std::make_unique<HeuristicCache>(options.heuristic_cache_capacity);
       cache = owned_cache.get();
@@ -310,8 +311,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       // whose estimate legitimately differs — and must not steer this
       // one. Keeping the memo keyed by the exact stored shape is what
       // makes cached estimates pure, and the search thread-count
-      // deterministic (the engines populate the memo in different
-      // orders).
+      // deterministic (pool workers populate the memo in any order).
       const uint64_t checksum = state.ShapeFingerprint();
       if (std::optional<double> memo =
               cache->Lookup(state_hash, goal_hash, checksum)) {
@@ -463,37 +463,53 @@ SearchResult RunSearch(const Table& input, const Table& goal,
     push(0, h0);
   }
 
-  // ---- Phase 2: evaluate one candidate without side effects — prune,
-  // apply, size-filter, goal-test, and (in the parallel engine) estimate.
-  // Reads only search-constant state plus the expanded node's parent
-  // facts; writes only its own slot, so all candidates of one expansion
-  // evaluate concurrently.
+  // ---- One expansion runs its candidates in blocks: the whole list when
+  // the search owns a pool, one candidate otherwise (so a serial search
+  // stops at its first goal without applying the rest). Each block goes
+  // through four steps. Evaluate and Estimate fan out over the pool and
+  // write only their own slots; Admit and Emit walk the slots in
+  // candidate order on the expansion thread, so every counter, arena
+  // index, observer callback and frontier push is the same at any thread
+  // count.
+
+  // Runs body(k) for k in [0, count): over the pool when there is one,
+  // else as a plain loop, which keeps std::function off the serial path.
+  // A fired token abandons the indices the pool has not handed out yet.
+  auto for_each_slot = [&](size_t count, auto&& body) {
+    if (pool != nullptr) {
+      pool->ParallelFor(count, body, cancel);
+    } else {
+      for (size_t k = 0; k < count; ++k) body(k);
+    }
+  };
+
+  // ---- Step 1, Evaluate: prune, apply, size-filter, goal-test and hash
+  // one candidate, without side effects. Reads only search-constant state
+  // plus the expanded node's parent facts.
   auto evaluate = [&](const Table& state, const ParentContext& parent_context,
-                      const Operation& candidate, bool compute_h,
-                      bool deferred, CandidateOutcome& out) {
-    // A fired token abandons the slot: `complete` stays false and the
-    // cancellation replay skips it.
+                      const Operation& candidate, bool deferred,
+                      CandidateOutcome& out) {
+    // A fired token abandons the slot: `complete` stays false. Past this
+    // check every path ends in a definitive fate.
     if (cancel != nullptr && cancel->IsCancelled()) return;
+    out.complete = true;
 
     PruneReason reason = PruneBeforeApply(state, candidate, pruning);
     if (reason != PruneReason::kKept) {
       out.fate = CandidateFate::kPrunedBefore;
       out.reason = reason;
-      out.complete = true;
       return;
     }
 
     Result<Table> applied = ApplyOperation(state, candidate);
     if (!applied.ok()) {
       out.fate = CandidateFate::kApplyFailed;
-      out.complete = true;
       return;
     }
     Table child = std::move(applied).value();
 
     if (child.num_cells() > options.max_state_cells) {
       out.fate = CandidateFate::kOversize;
-      out.complete = true;
       return;
     }
 
@@ -502,7 +518,6 @@ SearchResult RunSearch(const Table& input, const Table& goal,
     if (reason != PruneReason::kKept) {
       out.fate = CandidateFate::kPrunedAfter;
       out.reason = reason;
-      out.complete = true;
       return;
     }
 
@@ -526,46 +541,33 @@ SearchResult RunSearch(const Table& input, const Table& goal,
     // (the expensive TED dynamic program) nor kept.
     if (deferred && !is_goal) {
       out.fate = CandidateFate::kDeferred;
-      out.complete = true;
       return;
     }
 
-    // One hash per child: the state set and the memo both use it, and in
-    // the parallel engine it is computed on the worker.
+    // One hash per child: the state set and the memo both use it.
     if (!is_goal && (options.deduplicate_states || cache != nullptr)) {
       out.hash = child.Hash();
     }
-    if (compute_h && !is_goal &&
-        options.strategy == SearchStrategy::kAStar) {
-      // Parallel engine: estimate before deduplication (the memo makes
-      // the duplicate case cheap). The estimate is a pure function of
-      // the child, so evaluating it for a child the serial replay later
-      // drops as a duplicate cannot change any outcome.
-      out.h = estimate(child, out.hash, &out.cache_outcome);
-      // Interrupted mid-DP: out.h is garbage. Leave the slot incomplete.
-      if (cancel != nullptr && cancel->IsCancelled()) return;
-      out.has_h = true;
-    }
     out.child = std::move(child);
     out.fate = CandidateFate::kEvaluated;
-    out.complete = true;
   };
 
-  // ---- Phase 3: replay one evaluated slot — every mutation of the
-  // search state (arena, seen-set, frontier, stats, observer) happens
-  // here, on the expansion thread, in candidate order.
-  // `current` is the node whose expansion produced the slot. Returns
-  // false when the search is done (enough solutions / generation budget).
-  auto replay = [&](int current, const Operation& candidate,
-                    CandidateOutcome& out) -> bool {
+  // Reused per block; slots are index-addressed so fanned-out steps never
+  // share one. `to_estimate` lists the slots whose child awaits Step 3.
+  std::vector<CandidateOutcome> outcomes;
+  std::vector<size_t> to_estimate;
+
+  // ---- Step 2, Admit: counters, state-set insert, arena append,
+  // solutions and the generation budget, for slot `k` of the block.
+  // `current` is the node being expanded. Returns false when the search
+  // is done (enough solutions / generation budget).
+  auto admit = [&](int current, const Operation& candidate, size_t k) {
+    CandidateOutcome& out = outcomes[k];
     ++result.stats.candidates_tried;
     switch (out.fate) {
       case CandidateFate::kPrunedBefore:
       case CandidateFate::kPrunedAfter:
         ++result.stats.pruned_by_reason[static_cast<int>(out.reason)];
-        if (options.observer != nullptr) {
-          options.observer->OnPrune(current, candidate, out.reason);
-        }
         return true;
       case CandidateFate::kApplyFailed:
         ++result.stats.apply_failures;
@@ -576,22 +578,25 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       case CandidateFate::kDeferred:
         ++result.stats.guidance_deferred;
         return true;
+      // kDuplicate and kAdmitted are set below, never on entry.
       case CandidateFate::kEvaluated:
+      case CandidateFate::kDuplicate:
+      case CandidateFate::kAdmitted:
         break;
     }
 
-    int child_index = static_cast<int>(arena.size());
+    const int child_index = static_cast<int>(arena.size());
     if (!out.is_goal && options.deduplicate_states &&
         !seen.Insert(out.child, out.hash, child_index)) {
       ++result.stats.duplicates_skipped;
-      if (options.observer != nullptr) {
-        options.observer->OnDuplicate(current, candidate);
-      }
+      out.fate = CandidateFate::kDuplicate;
       return true;
     }
 
     arena.push_back(Node{std::move(out.child), current, candidate,
                          arena[current].depth + 1});
+    out.fate = CandidateFate::kAdmitted;
+    out.node = child_index;
     ++result.stats.nodes_generated;
     if (cancel != nullptr) {
       // Approximate retained footprint of the kept state. The CoW
@@ -602,10 +607,6 @@ SearchResult RunSearch(const Table& input, const Table& goal,
     }
 
     if (out.is_goal) {
-      if (options.observer != nullptr) {
-        options.observer->OnGenerate(child_index, current, candidate, 0,
-                                     /*is_goal=*/true);
-      }
       record_solution(child_index);
       // Goal states are terminal: do not expand past them.
       return !enough_solutions();
@@ -614,43 +615,43 @@ SearchResult RunSearch(const Table& input, const Table& goal,
     if (options.max_generated > 0 &&
         result.stats.nodes_generated >= options.max_generated) {
       result.stats.budget_exhausted = true;
+      out.complete = false;  // Never estimated, never emitted.
       return false;
     }
 
-    double h = 0;
     if (options.strategy == SearchStrategy::kAStar) {
-      if (out.has_h) {
-        h = out.h;
-      } else {
-        // Serial engine: estimate after deduplication, exactly as the
-        // legacy single-threaded loop did.
-        h = estimate(arena[child_index].table, out.hash, &out.cache_outcome);
-        if (cancel != nullptr && cancel->IsCancelled()) {
-          // The estimate is garbage. Keep the child off the frontier
-          // (it already sits in the arena/seen-set, which is harmless)
-          // and let the caller observe the stop.
-          return true;
-        }
-      }
-      count_cache_outcome(out.cache_outcome);
+      out.complete = false;  // Until Step 3 finishes its estimate.
+      to_estimate.push_back(k);
     }
-    if (options.observer != nullptr) {
-      options.observer->OnGenerate(child_index, current, candidate, h,
-                                   /*is_goal=*/false);
-    }
-    if (h == kInfiniteCost) return true;  // Goal unreachable from child.
-    push(child_index, h);
     return true;
   };
 
-  // Reused per expansion; slots are index-addressed so phase 2 threads
-  // never share one.
-  std::vector<CandidateOutcome> outcomes;
+  // ---- Step 4, Emit: observer callbacks, memo counters and the frontier
+  // push for one slot, in candidate order.
+  auto emit = [&](int current, const Operation& candidate,
+                  const CandidateOutcome& out) {
+    if (!out.complete) return;
+    SearchObserver* observer = options.observer;
+    if (out.fate == CandidateFate::kPrunedBefore ||
+        out.fate == CandidateFate::kPrunedAfter) {
+      if (observer != nullptr) observer->OnPrune(current, candidate, out.reason);
+    } else if (out.fate == CandidateFate::kDuplicate) {
+      if (observer != nullptr) observer->OnDuplicate(current, candidate);
+    } else if (out.fate == CandidateFate::kAdmitted) {
+      if (!out.is_goal) count_cache_outcome(out.cache_outcome);
+      if (observer != nullptr) {
+        observer->OnGenerate(out.node, current, candidate, out.h, out.is_goal);
+      }
+      // Goals are terminal; an infinite estimate means the goal is
+      // unreachable from the child.
+      if (!out.is_goal && out.h != kInfiniteCost) push(out.node, out.h);
+    }
+  };
 
   while (!frontier_empty()) {
     // The token subsumes the old between-rounds elapsed check (it owns the
     // deadline whenever timeout_ms > 0) and additionally fires mid-round:
-    // per candidate, per parallel slot, and inside the TED inner loops.
+    // per slot, per block, and inside the TED inner loops.
     if (cancel != nullptr && cancel->IsCancelled()) {
       note_cancel();
       break;
@@ -672,7 +673,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
                                  arena[current].depth);
     }
 
-    // ---- Phase 1 (serial): enumerate candidate arcs out of this state.
+    // Enumerate the candidate arcs out of this state (serial).
     // Snapshot: arena may reallocate while children are appended. Under
     // the copy-on-write substrate this is an O(1) handle copy — no cells
     // are cloned, and the pool workers read the shared immutable rows.
@@ -684,7 +685,7 @@ SearchResult RunSearch(const Table& input, const Table& goal,
     const ParentContext parent_context = ParentContext::From(state);
     // Guided phase: the defer mask is computed serially at expansion
     // time — the guide sees the exact enumeration order — and is
-    // read-only afterwards, so both evaluation engines share it safely.
+    // read-only afterwards, so pool workers share it safely.
     std::vector<uint8_t> defer;
     if (guide != nullptr) {
       defer.assign(candidates.size(), 0);
@@ -693,49 +694,46 @@ SearchResult RunSearch(const Table& input, const Table& goal,
       guide->Partition(state, goal, via, candidates, &defer);
     }
 
-    if (pool != nullptr && candidates.size() > 1) {
-      outcomes.assign(candidates.size(), CandidateOutcome{});
-      pool->ParallelFor(
-          candidates.size(),
-          [&](size_t i) {
-            evaluate(state, parent_context, candidates[i],
-                     /*compute_h=*/true,
-                     /*deferred=*/!defer.empty() && defer[i] != 0,
-                     outcomes[i]);
-          },
-          cancel);
+    for (size_t begin = 0; begin < candidates.size();) {
+      const size_t count = pool != nullptr ? candidates.size() - begin : 1;
+      outcomes.assign(count, CandidateOutcome{});
+      for_each_slot(count, [&](size_t k) {
+        const size_t i = begin + k;
+        evaluate(state, parent_context, candidates[i],
+                 /*deferred=*/!defer.empty() && defer[i] != 0, outcomes[k]);
+      });
+
+      // Admission walks slots [0, walked) and stops at the first slot a
+      // fired token abandoned.
+      to_estimate.clear();
+      size_t walked = 0;
+      bool done = false;
+      while (!done && walked < count && outcomes[walked].complete) {
+        done = !admit(current, candidates[begin + walked], walked);
+        ++walked;
+      }
+
+      // ---- Step 3, Estimate: the admitted non-goal children only, so
+      // each distinct state is estimated once at any thread count.
+      for_each_slot(to_estimate.size(), [&](size_t j) {
+        CandidateOutcome& out = outcomes[to_estimate[j]];
+        out.h = estimate(arena[out.node].table, out.hash, &out.cache_outcome);
+        // Interrupted mid-DP: out.h is garbage, so the child stays in the
+        // arena and state set but off the frontier.
+        out.complete = cancel == nullptr || !cancel->IsCancelled();
+      });
+
+      for (size_t k = 0; k < walked; ++k) {
+        emit(current, candidates[begin + k], outcomes[k]);
+      }
+      if (done) return finalize();
+      // A stop inside this block is recorded here, not at the loop head:
+      // the frontier may be empty by then.
       if (cancel != nullptr && cancel->IsCancelled()) {
-        // Salvage the fully evaluated slots — in candidate order, so the
-        // replays stay deterministic — to enrich the anytime frontier,
-        // then stop. Abandoned/interrupted slots hold garbage; skip them.
-        for (size_t i = 0; i < candidates.size(); ++i) {
-          if (!outcomes[i].complete) continue;
-          if (!replay(current, candidates[i], outcomes[i])) {
-            return finalize();
-          }
-        }
         note_cancel();
-        break;
+        return finalize();
       }
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        if (!replay(current, candidates[i], outcomes[i])) {
-          return finalize();
-        }
-      }
-    } else {
-      CandidateOutcome out;
-      for (size_t i = 0; i < candidates.size(); ++i) {
-        const Operation& candidate = candidates[i];
-        // Per-candidate poll: a deadline interrupts mid-round instead of
-        // waiting for the next expansion (the loop head notes the
-        // reason).
-        if (cancel != nullptr && cancel->IsCancelled()) break;
-        out = CandidateOutcome{};
-        evaluate(state, parent_context, candidate, /*compute_h=*/false,
-                 /*deferred=*/!defer.empty() && defer[i] != 0, out);
-        if (!out.complete) break;  // Interrupted mid-evaluation.
-        if (!replay(current, candidate, out)) return finalize();
-      }
+      begin += count;
     }
   }
 

@@ -120,28 +120,28 @@ struct SearchOptions {
   /// num_threads.
   SearchObserver* observer = nullptr;
 
-  /// Threads used to evaluate the candidates of one expansion (apply +
-  /// size filter + pruning + heuristic) in parallel. 0 means "use
-  /// hardware_concurrency"; 1 runs the exact legacy serial loop. Any
-  /// value yields bit-identical programs and pruning statistics: results
-  /// land in per-candidate slots and all frontier/accounting effects are
-  /// replayed serially in candidate order.
+  /// Threads used to evaluate and estimate the candidates of one
+  /// expansion (pruning + apply + size filter + goal test + hash, then
+  /// the heuristic of each admitted child) in parallel. 0 means "use
+  /// hardware_concurrency"; 1 runs without a pool, one candidate at a
+  /// time. Any value yields bit-identical programs, statistics and
+  /// observer events: results land in per-candidate slots, and admission,
+  /// accounting and frontier pushes run serially in candidate order.
   int num_threads = 0;
 
   /// Has no effect: the search always expands one frontier node at a
   /// time. Kept only because perfbench/src/replay.cc still reads it.
   int expansion_width = 1;
 
-  /// Memoize heuristic estimates by (state hash, goal hash). Duplicate
-  /// tables reached via different paths — and every re-expansion when
-  /// deduplicate_states is false — then skip the TED dynamic program
-  /// entirely. Estimates are pure functions of the key, so caching never
-  /// changes results; hit/miss counts land in SearchStats. A memo is kept
-  /// only where it can hit: the caller's shared heuristic_cache, or a
-  /// private one in the parallel engine (which estimates before
-  /// deduplication) and when deduplicate_states is false. A serial
-  /// deduplicating search estimates each distinct state once, so without
-  /// a shared cache it keeps none.
+  /// Memoize heuristic estimates by (state hash, goal hash). States
+  /// estimated by an earlier search sharing the cache — and every
+  /// re-expansion when deduplicate_states is false — then skip the TED
+  /// dynamic program entirely. Estimates are pure functions of the key,
+  /// so caching never changes results; hit/miss counts land in
+  /// SearchStats. A memo is kept only where it can hit: the caller's
+  /// shared heuristic_cache, or a private one when deduplicate_states is
+  /// false. A deduplicating search estimates each distinct state once at
+  /// any thread count, so without a shared cache it keeps none.
   bool cache_heuristic = true;
 
   /// Entry bound for the internally created heuristic cache (ignored when
@@ -152,8 +152,8 @@ struct SearchOptions {
   /// driver reuses one across its interaction rounds; goal hashes keep
   /// different goals from colliding). Not owned, must outlive the search.
   /// Used whenever cache_heuristic is true under A*, at any thread count.
-  /// When null, the parallel engine and a search without deduplication
-  /// create a private cache for their own duration.
+  /// When null, only a search without deduplication creates a private
+  /// cache for its own duration.
   HeuristicCache* heuristic_cache = nullptr;
 
   /// Optional learned candidate guide (see search/guide.h and
@@ -200,13 +200,12 @@ struct SearchStats {
   std::array<uint64_t, kNumPruneReasons> pruned_by_reason{};
   /// Heuristic memoization counters (0/0 when cache_heuristic is off or
   /// the strategy is BFS). hits + misses is the number of estimates the
-  /// search requested: a search that keeps no memo (serial and
-  /// deduplicating, with no caller's cache) counts every estimate it
-  /// computes as a miss.
-  /// These are the only counters that may differ between thread counts:
-  /// the parallel engine evaluates heuristics before deduplication, the
-  /// serial engine after, so the hit/miss split can shift while every
-  /// estimate value — and therefore the search outcome — stays identical.
+  /// search requested: a search that keeps no memo (deduplicating, with
+  /// no caller's cache) counts every estimate it computes as a miss.
+  /// Like every other counter they are identical at any thread count,
+  /// with one exception: without deduplication, pool workers may estimate
+  /// two equal children of one expansion at once, so the hit/miss split
+  /// (not the sum) can shift.
   uint64_t heuristic_cache_hits = 0;
   uint64_t heuristic_cache_misses = 0;
   /// Staged-guidance accounting (all zero/false when SearchOptions::

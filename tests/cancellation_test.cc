@@ -353,6 +353,26 @@ TEST(SearchCancellationTest, MemoryBudgetOnTokenStopsTheSearch) {
   EXPECT_GT(token.memory_charged(), 64u << 10);
 }
 
+// A budget that trips on the root expansion's first kept child leaves the
+// frontier empty. The stop must still be reported as a budget stop, not
+// as an exhausted search (which the degradation ladder reads as "no
+// program exists"), at any thread count.
+TEST(SearchCancellationTest, MemoryBudgetTrippedAtTheRootIsReported) {
+  ExamplePair example = HardExample();
+  for (int threads : {1, 4}) {
+    SearchOptions options;
+    options.timeout_ms = 0;
+    options.max_expansions = 0;
+    options.memory_budget = 1;
+    options.num_threads = threads;
+    SearchResult result = SynthesizeProgram(example.input, example.output,
+                                            options);
+    EXPECT_FALSE(result.found) << "threads=" << threads;
+    EXPECT_TRUE(result.stats.budget_exhausted) << "threads=" << threads;
+    EXPECT_EQ(result.stats.nodes_expanded, 1u) << "threads=" << threads;
+  }
+}
+
 TEST(SearchCancellationTest, DeadlineSetsTimedOutWithRecordedOvershoot) {
   ExamplePair example = HardExample();
   SearchOptions options;

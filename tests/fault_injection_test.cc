@@ -307,11 +307,15 @@ TEST_F(FaultInjectionTest, CancelFiredAtEveryFailurePointTerminatesCleanly) {
                                         apply_options);
     }
 
-    // A threaded synthesis under the same token.
+    // A threaded synthesis under the same token. A deduplicating search
+    // keeps no private memo, so a caller-owned one carries the memo's
+    // insert point.
+    HeuristicCache cache;
     SearchOptions options;
     options.timeout_ms = 10'000;
     options.num_threads = 4;
     options.cancel = &token;
+    options.heuristic_cache = &cache;
     SearchResult result = SynthesizeProgram(workload.example.input,
                                             workload.example.output, options);
     // The run either finished before the point was reached or stopped on

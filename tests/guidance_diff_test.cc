@@ -22,6 +22,7 @@
 #include "search/search.h"
 #include "table/table.h"
 #include "testing/budget_profile.h"
+#include "testing/search_outcome.h"
 
 namespace foofah {
 namespace {
@@ -93,16 +94,11 @@ SearchOptions GuidedOptions(const GuidancePolicy& policy, int num_threads) {
 }
 
 /// Every counter the engine promises is deterministic across thread
-/// counts (the parallel determinism contract), extended with the staging
-/// counters.
+/// counts (the shared determinism contract, memo counts included),
+/// extended with the staging counters.
 void ExpectIdentical(const SearchResult& base, const SearchResult& other,
                      const std::string& label) {
-  EXPECT_EQ(base.found, other.found) << label;
-  EXPECT_EQ(base.program.ToScript(), other.program.ToScript()) << label;
-  EXPECT_EQ(base.stats.nodes_expanded, other.stats.nodes_expanded) << label;
-  EXPECT_EQ(base.stats.nodes_generated, other.stats.nodes_generated) << label;
-  EXPECT_EQ(base.stats.candidates_tried, other.stats.candidates_tried)
-      << label;
+  testing::ExpectIdenticalOutcome(base, other, label);
   EXPECT_EQ(base.stats.guided_expansions, other.stats.guided_expansions)
       << label;
   EXPECT_EQ(base.stats.guidance_deferred, other.stats.guidance_deferred)

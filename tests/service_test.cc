@@ -129,6 +129,37 @@ TEST_F(ServiceTest, DegradationDescendsUnderTinyBudget) {
   EXPECT_EQ(pinned_response.attempts.size(), 1u);
 }
 
+TEST_F(ServiceTest, TinyMemoryBudgetDescendsEveryRung) {
+  // Every rung's budget trips on the root expansion's first kept child
+  // and leaves the frontier empty. That is a truncated rung, so the
+  // ladder descends and ends ResourceExhausted, not NotFound.
+  ServiceOptions options;
+  options.num_workers = 1;
+  options.default_deadline_ms = 0;
+  SynthesisService service(options);
+
+  SynthesisRequest request;
+  request.input = Table({{"aa", "bb", "cc", "dd", "ee"},
+                         {"ff", "gg", "hh", "ii", "jj"},
+                         {"kk", "ll", "mm", "nn", "oo"},
+                         {"pp", "qq", "rr", "ss", "tt"},
+                         {"uu", "vv", "ww", "xx", "yy"}});
+  request.output = Table({{"gg", "uu", "nn", "cc", "qq"},
+                          {"yy", "aa", "ll", "tt", "hh"},
+                          {"dd", "rr", "jj", "vv", "kk"},
+                          {"oo", "ee", "ww", "bb", "ss"},
+                          {"mm", "xx", "ff", "ii", "pp"}});
+  request.memory_budget = 1;
+  ServiceResponse response = service.Synthesize(std::move(request));
+  EXPECT_FALSE(response.found);
+  EXPECT_EQ(response.status.code(), StatusCode::kResourceExhausted)
+      << response.status.ToString();
+  ASSERT_EQ(response.attempts.size(), 3u) << "full descent expected";
+  for (const auto& attempt : response.attempts) {
+    EXPECT_TRUE(attempt.stats.budget_exhausted);
+  }
+}
+
 TEST_F(ServiceTest, PerRequestBudgetOverridesBase) {
   ServiceOptions options;
   options.num_workers = 1;

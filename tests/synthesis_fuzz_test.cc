@@ -22,6 +22,7 @@
 #include "scenarios/corpus.h"
 #include "search/search.h"
 #include "testing/random_tables.h"
+#include "testing/search_outcome.h"
 #include "util/rng.h"
 
 namespace foofah {
@@ -141,41 +142,6 @@ TEST(SynthesisFuzzTest, TwoOpGoalsMostlySolvedAndAlwaysCorrect) {
       << "solved " << solved << "/" << attempted;
 }
 
-/// Deterministic options for thread-sweep comparisons: no wall clock (a
-/// timer firing at different expansions would legitimately change the
-/// outcome), bounded purely by expansion count.
-SearchOptions SweepOptions(int num_threads, uint64_t max_expansions) {
-  SearchOptions options;
-  options.timeout_ms = 0;
-  options.max_expansions = max_expansions;
-  options.num_threads = num_threads;
-  return options;
-}
-
-/// Asserts two runs are bit-identical: found flag, program text, and every
-/// counter except the heuristic cache split (the parallel engine estimates
-/// before dedup, the serial one after — see SearchStats) and elapsed_ms.
-void ExpectSameOutcome(const SearchResult& serial,
-                       const SearchResult& parallel,
-                       const std::string& context) {
-  ASSERT_EQ(serial.found, parallel.found) << context;
-  EXPECT_EQ(serial.program.ToScript(), parallel.program.ToScript()) << context;
-  const SearchStats& a = serial.stats;
-  const SearchStats& b = parallel.stats;
-  EXPECT_EQ(a.nodes_expanded, b.nodes_expanded) << context;
-  EXPECT_EQ(a.nodes_generated, b.nodes_generated) << context;
-  EXPECT_EQ(a.candidates_tried, b.candidates_tried) << context;
-  EXPECT_EQ(a.duplicates_skipped, b.duplicates_skipped) << context;
-  EXPECT_EQ(a.oversize_skipped, b.oversize_skipped) << context;
-  EXPECT_EQ(a.apply_failures, b.apply_failures) << context;
-  EXPECT_EQ(a.timed_out, b.timed_out) << context;
-  EXPECT_EQ(a.budget_exhausted, b.budget_exhausted) << context;
-  for (size_t i = 0; i < a.pruned_by_reason.size(); ++i) {
-    EXPECT_EQ(a.pruned_by_reason[i], b.pruned_by_reason[i])
-        << context << " prune reason " << i;
-  }
-}
-
 TEST(SynthesisFuzzTest, RaggedUnicodeGoalsIdenticalAcrossThreadCounts) {
   // Ragged rows + empty cells + multi-byte UTF-8 drive the CoW sharing
   // paths hardest: short rows are read past their stored length, Delete
@@ -189,12 +155,13 @@ TEST(SynthesisFuzzTest, RaggedUnicodeGoalsIdenticalAcrossThreadCounts) {
     // A small budget keeps unsolved adversarial goals cheap (identical
     // budget exhaustion is part of the contract); the ~10x tsan run
     // shares this bound.
-    SearchResult serial = SynthesizeProgram(fuzz.input, fuzz.goal,
-                                            SweepOptions(1, 400));
-    SearchResult threaded = SynthesizeProgram(fuzz.input, fuzz.goal,
-                                              SweepOptions(8, 400));
+    SearchOptions options = testing::DeterministicOptions(1);
+    options.max_expansions = 400;
+    SearchResult serial = SynthesizeProgram(fuzz.input, fuzz.goal, options);
+    options.num_threads = 8;
+    SearchResult threaded = SynthesizeProgram(fuzz.input, fuzz.goal, options);
     std::string context = "ragged seed " + std::to_string(seed);
-    ExpectSameOutcome(serial, threaded, context);
+    testing::ExpectIdenticalOutcome(serial, threaded, context);
     if (serial.found) {
       Result<Table> replay = serial.program.Execute(fuzz.input);
       ASSERT_TRUE(replay.ok()) << context << "\n" << serial.program.ToScript();
@@ -216,11 +183,14 @@ TEST(SynthesisFuzzTest, CorpusSweepIdenticalAcrossThreadCounts) {
         scenario.MakeExample(std::min(2, scenario.total_records()));
     ASSERT_TRUE(example.ok()) << scenario.name();
     ++scenarios;
-    SearchResult serial = SynthesizeProgram(example->input, example->output,
-                                            SweepOptions(1, 250));
-    SearchResult threaded = SynthesizeProgram(example->input, example->output,
-                                              SweepOptions(8, 250));
-    ExpectSameOutcome(serial, threaded, scenario.name());
+    SearchOptions options = testing::DeterministicOptions(1);
+    options.max_expansions = 250;
+    SearchResult serial =
+        SynthesizeProgram(example->input, example->output, options);
+    options.num_threads = 8;
+    SearchResult threaded =
+        SynthesizeProgram(example->input, example->output, options);
+    testing::ExpectIdenticalOutcome(serial, threaded, scenario.name());
   }
   EXPECT_EQ(scenarios, 50);
 }

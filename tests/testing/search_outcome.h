@@ -3,7 +3,8 @@
 
 // The thread-count determinism contract of the search, shared by the
 // suites that check it (parallel_search_test for full runs,
-// frontier_parallel_test for runs cut short by a budget or a deadline).
+// frontier_parallel_test for runs cut short by a budget or a deadline,
+// trace_test, guidance_diff_test and synthesis_fuzz_test).
 
 #include <gtest/gtest.h>
 
@@ -24,12 +25,26 @@ inline SearchOptions DeterministicOptions(int num_threads) {
   return options;
 }
 
-/// Everything except elapsed_ms and the heuristic-cache hit/miss split
-/// (which legitimately shifts because the parallel engine estimates before
-/// deduplication) must match bit-for-bit.
+/// How much of the heuristic memo's hit/miss accounting two runs share.
+enum class MemoCounts {
+  /// Same hits and same misses: a deduplicating search at any thread
+  /// count estimates each distinct state once, in a fixed set.
+  kIdentical,
+  /// Same hits + misses only. Under tree search (deduplicate_states =
+  /// false) pool workers may estimate two equal children of one
+  /// expansion at once, so both miss where the serial search hits once.
+  kSameTotal,
+  /// Not compared: the runs differ in the memo itself (disabled, or warm
+  /// from an earlier search).
+  kIgnored,
+};
+
+/// Everything except elapsed_ms must match bit-for-bit; `memo` says how
+/// much of the memo's hit/miss split.
 inline void ExpectIdenticalOutcome(const SearchResult& serial,
                                    const SearchResult& parallel,
-                                   const std::string& label) {
+                                   const std::string& label,
+                                   MemoCounts memo = MemoCounts::kIdentical) {
   EXPECT_EQ(serial.found, parallel.found) << label;
   EXPECT_EQ(serial.program, parallel.program) << label;
   ASSERT_EQ(serial.alternatives.size(), parallel.alternatives.size()) << label;
@@ -57,6 +72,16 @@ inline void ExpectIdenticalOutcome(const SearchResult& serial,
   EXPECT_EQ(serial.stats.budget_exhausted, parallel.stats.budget_exhausted)
       << label;
   EXPECT_EQ(serial.stats.cancelled, parallel.stats.cancelled) << label;
+  const SearchStats& a = serial.stats;
+  const SearchStats& b = parallel.stats;
+  if (memo == MemoCounts::kIdentical) {
+    EXPECT_EQ(a.heuristic_cache_hits, b.heuristic_cache_hits) << label;
+    EXPECT_EQ(a.heuristic_cache_misses, b.heuristic_cache_misses) << label;
+  } else if (memo == MemoCounts::kSameTotal) {
+    EXPECT_EQ(a.heuristic_cache_hits + a.heuristic_cache_misses,
+              b.heuristic_cache_hits + b.heuristic_cache_misses)
+        << label;
+  }
   // Anytime results are selected at serial push time, so they are part of
   // the bit-identical contract too.
   EXPECT_EQ(serial.anytime.available, parallel.anytime.available) << label;

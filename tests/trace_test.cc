@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "program/describe.h"
+#include "scenarios/corpus.h"
 #include "search/search.h"
+#include "testing/search_outcome.h"
 
 namespace foofah {
 namespace {
@@ -119,39 +123,75 @@ class EventLogObserver : public SearchObserver {
   std::vector<std::string> events_;
 };
 
+// The full event stream — ids, order, heuristic values, prune reasons —
+// must be byte-identical between the serial search and the 8-worker pool,
+// in every configuration where an expansion stops early or branches: the
+// pool's Emit step replays each callback in candidate order. The stats
+// follow the shared contract too.
 TEST(TraceTest, EventSequenceIdenticalAcrossThreadCounts) {
-  // The motivating contacts example: a real multi-step search with
-  // expansions, prunes, and duplicates. The full event stream — ids,
-  // order, heuristic values, prune reasons — must be byte-identical
-  // between the serial engine and the 8-worker pool, because CoW states
-  // shared across workers and serial replay of accounting guarantee it.
-  Table in = {{"Niles C.", "Tel:(800)645-8397"},
-              {"", "Fax:(907)586-7252"},
-              {"Jean H.", "Tel:(918)781-4600"},
-              {"", "Fax:(918)781-4604"}};
-  Table out = {{"", "Tel", "Fax"},
-               {"Niles C.", "(800)645-8397", "(907)586-7252"},
-               {"Jean H.", "(918)781-4600", "(918)781-4604"}};
-
-  auto run = [&](int num_threads) {
-    EventLogObserver log;
-    SearchOptions options;
-    options.timeout_ms = 0;  // Deterministic: bounded by expansions only.
-    options.max_expansions = 2'000;
-    options.num_threads = num_threads;
-    options.observer = &log;
-    SearchResult r = SynthesizeProgram(in, out, options);
-    EXPECT_TRUE(r.found);
-    return std::make_pair(r.program.ToScript(), log.events());
+  using testing::MemoCounts;
+  struct Config {
+    std::string_view name;
+    void (*apply)(SearchOptions&);
+    MemoCounts memo;
   };
-
-  auto [serial_program, serial_events] = run(1);
-  auto [threaded_program, threaded_events] = run(8);
-  EXPECT_EQ(serial_program, threaded_program);
-  ASSERT_FALSE(serial_events.empty());
-  ASSERT_EQ(serial_events.size(), threaded_events.size());
-  for (size_t i = 0; i < serial_events.size(); ++i) {
-    ASSERT_EQ(serial_events[i], threaded_events[i]) << "event " << i;
+  const Config configs[] = {
+      {"default", [](SearchOptions&) {}, MemoCounts::kIdentical},
+      // Reached mid-expansion: an expansion keeps dozens of children.
+      {"max_generated", [](SearchOptions& o) { o.max_generated = 60; },
+       MemoCounts::kIdentical},
+      {"max_solutions", [](SearchOptions& o) { o.max_solutions = 3; },
+       MemoCounts::kIdentical},
+      {"bfs",
+       [](SearchOptions& o) {
+         o.strategy = SearchStrategy::kBfs;
+         o.max_expansions = 300;
+       },
+       MemoCounts::kIdentical},
+      {"tree",
+       [](SearchOptions& o) {
+         o.deduplicate_states = false;
+         o.max_expansions = 300;
+       },
+       MemoCounts::kSameTotal},
+  };
+  for (const char* name :
+       {"wrangler3_contacts", "pfe_log_extract", "pfe_three_step_clean"}) {
+    const Scenario* scenario = FindScenario(name);
+    ASSERT_NE(scenario, nullptr) << name;
+    Result<ExamplePair> example =
+        scenario->MakeExample(std::min(2, scenario->total_records()));
+    ASSERT_TRUE(example.ok()) << name;
+    for (const Config& config : configs) {
+      const std::string label =
+          std::string(name) + " " + std::string(config.name);
+      auto run = [&](int num_threads, EventLogObserver* log) {
+        SearchOptions options = testing::DeterministicOptions(num_threads);
+        options.max_expansions = 2'000;
+        options.observer = log;
+        config.apply(options);
+        return SynthesizeProgram(example->input, example->output, options);
+      };
+      EventLogObserver serial_log;
+      EventLogObserver threaded_log;
+      const SearchResult serial = run(1, &serial_log);
+      const SearchResult threaded = run(8, &threaded_log);
+      testing::ExpectIdenticalOutcome(serial, threaded, label, config.memo);
+      // The configurations reach what they exist for.
+      if (config.name == "max_generated") {
+        EXPECT_TRUE(serial.stats.budget_exhausted) << label;
+      }
+      if (config.name == "max_solutions") {
+        EXPECT_EQ(serial.alternatives.size(), 3u) << label;
+      }
+      const std::vector<std::string>& a = serial_log.events();
+      const std::vector<std::string>& b = threaded_log.events();
+      ASSERT_FALSE(a.empty()) << label;
+      ASSERT_EQ(a.size(), b.size()) << label;
+      for (size_t i = 0; i < a.size(); ++i) {
+        ASSERT_EQ(a[i], b[i]) << label << " event " << i;
+      }
+    }
   }
 }
 
